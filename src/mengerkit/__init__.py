@@ -21,10 +21,9 @@ from .algebra import (
     find_zero,
     reachable_states,
     slot_occupants,
-    slot_occupants_by_first_use,
     slot_occupants_generic,
 )
-from .bitrel import BinRelation, compose, relation_flags
+from .bitrel import BinRelation
 from .errors import CapacityError, InputError, MengerkitError
 from .forge import (
     GeneratorConfig,
@@ -33,11 +32,9 @@ from .forge import (
     identity_representation,
 )
 from .relations import (
-    TranslationSet,
     build_closure,
     check_compatibility,
     check_word_system,
-    inner_translations,
     is_l_cancellative,
     is_l_regular,
     is_v_negative,
@@ -62,7 +59,6 @@ from .tables import (
     PartialFunction,
     close_under_operations,
     domain_relations,
-    evaluate,
     mann_compose,
     superpose,
 )

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .tables import UNDEFINED, ConcreteAlgebra, mann_compose, superpose
+from .tables import ConcreteAlgebra, mann_compose, superpose
 
 EMPTY = -1  # unoccupied slot marker; only valid at its own position
 
@@ -42,7 +42,7 @@ class Violation:
 
 def _nested_shape_ok(table, dims: int, size: int) -> bool:
     if dims == 0:
-        return isinstance(table, int) and 0 <= table < size
+        return type(table) is int and 0 <= table < size
     if not isinstance(table, (list, tuple)) or len(table) != size:
         return False
     return all(_nested_shape_ok(entry, dims - 1, size) for entry in table)
@@ -55,10 +55,12 @@ def _freeze(table):
 
 
 class AbstractAlgebra:
-    """Operation tables plus lazily computed word-state data.
+    """Operation tables plus lazily computed derived data.
 
-    Instances are immutable by convention; the lazy caches are
-    initialization-once and observable as if computed eagerly.
+    Instances are immutable by convention.  Every value derived from the
+    tables (word states, zero, plain reduct, seed relations, universe,
+    oracle family) is computed once through :meth:`derived` and kept for
+    the algebra's lifetime, so it is observable as if computed eagerly.
     """
 
     def __init__(self, arity, size, mann, superposition=None, zero=None,
@@ -96,11 +98,7 @@ class AbstractAlgebra:
             if violation is not None:
                 raise InputError(f"declared zero {zero} breaks {violation.law} "
                                  f"at {violation.witness}")
-        self._states = None
-        self._universes = {}
-        self._zero_element = zero if zero is not None else ...
-        self._seed_cache = {}
-        self._oracle_family = None
+        self._derived = {} if zero is None else {"zero": zero}
 
     def __eq__(self, other):
         return (
@@ -119,9 +117,6 @@ class AbstractAlgebra:
 
     # -- operations -----------------------------------------------------
 
-    def mann_at(self, slot: int, x: int, y: int) -> int:
-        return self.mann[slot][x][y]
-
     def sup_at(self, g: int, args: tuple[int, ...]) -> int:
         node = self.superposition[g]
         for a in args:
@@ -131,25 +126,32 @@ class AbstractAlgebra:
     def sup_array(self) -> np.ndarray:
         return np.asarray(self.superposition, dtype=np.int64)
 
+    # -- derived data ---------------------------------------------------
+
+    def derived(self, key, compute):
+        """The value kept under ``key``, made by ``compute()`` on first use."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
+
     def plain_reduct(self) -> AbstractAlgebra:
         """The same carrier and mann tables with superposition forgotten."""
         if self.flavor == "plain":
             return self
-        if "reduct" not in self._seed_cache:
-            self._seed_cache["reduct"] = AbstractAlgebra(
-                self.arity, self.size, self.mann, None, self.zero, "plain")
-        return self._seed_cache["reduct"]
+        return self.derived("reduct", lambda: AbstractAlgebra(
+            self.arity, self.size, self.mann, None, self.zero, "plain"))
 
     def zero_element(self) -> int | None:
         """The unique element obeying the zero laws, computed on demand."""
-        if self._zero_element is ...:
-            self._zero_element = find_zero(self)
-        return self._zero_element
+        return self.derived("zero", lambda: find_zero(self))
 
     def states(self, cap: int = DEFAULT_STATE_CAP) -> "StateSpace":
-        if self._states is None:
-            self._states = reachable_states(self, cap=cap)
-        return self._states
+        """The reachable word states; raises CapacityError exactly when
+        ``reachable_states(self, cap)`` would, also once they are kept."""
+        space = self.derived("states", lambda: reachable_states(self, cap=cap))
+        if len(space.states) > cap:
+            raise CapacityError(f"state cap {cap} exceeded", count=cap + 1)
+        return space
 
 
 @dataclass(frozen=True)
@@ -171,12 +173,8 @@ class WordState:
 
 @dataclass(frozen=True)
 class StateSpace:
-    initial: WordState
     states: tuple[WordState, ...]  # depth >= 1, BFS order
     by_slots: dict
-
-    def state_for_slots(self, slots: tuple[int, ...]) -> WordState:
-        return self.by_slots[slots][0]
 
 
 def apply_word(alg: AbstractAlgebra, x: int, word: Word) -> int:
@@ -207,26 +205,6 @@ def slot_occupants(alg: AbstractAlgebra, word: Word) -> tuple[int, ...]:
     """Per-slot occupants after performing the word (EMPTY for untouched)."""
     return slot_occupants_generic(
         word, alg.arity, lambda v, slot, y: alg.mann[slot][v][y])
-
-
-def slot_occupants_by_first_use(alg: AbstractAlgebra, word: Word) -> tuple[int, ...]:
-    """Occupants via the first-occurrence formula: the element of the first
-    step touching slot i, composed with every later step.  Cross-check
-    oracle for :func:`slot_occupants`."""
-    occ = [EMPTY] * alg.arity
-    for i in range(alg.arity):
-        first = None
-        for k, (slot, _) in enumerate(word):
-            if slot == i:
-                first = k
-                break
-        if first is None:
-            continue
-        value = word[first][1]
-        for slot, y in word[first + 1 :]:
-            value = alg.mann[slot][value][y]
-        occ[i] = value
-    return tuple(occ)
 
 
 def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
@@ -268,7 +246,7 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
     by_slots: dict[tuple, list[WordState]] = {}
     for state in order:
         by_slots.setdefault(state.slots, []).append(state)
-    return StateSpace(initial, tuple(order), by_slots)
+    return StateSpace(tuple(order), by_slots)
 
 
 def check_representability(alg: AbstractAlgebra) -> Violation | None:

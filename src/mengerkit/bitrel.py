@@ -4,10 +4,8 @@ Row ``a`` is an int whose bit ``b`` is set iff the pair (a, b) is in the
 relation, i.e. rows are indexed by the first coordinate.  All operations
 return new relations; instances are immutable.
 
-Two composition orders exist side by side: :meth:`BinRelation.then` chains
-left to right ((a,b) in r and (b,c) in s), while the free function
-:func:`compose` follows the convention where the right operand acts first,
-so ``compose(s, r) == r.then(s)``.
+Composition has one order: ``r.then(s)`` chains left to right, relating a
+to c when (a,b) is in r and (b,c) is in s.
 """
 
 from __future__ import annotations
@@ -142,13 +140,6 @@ class BinRelation:
             rows.append(acc)
         return BinRelation(self.size, tuple(rows))
 
-    def power(self, k: int) -> BinRelation:
-        """k-fold chaining; power(0) is the diagonal."""
-        result = BinRelation.diagonal(self.size)
-        for _ in range(k):
-            result = result.then(self)
-        return result
-
     def reflexive_closure(self) -> BinRelation:
         return self | BinRelation.diagonal(self.size)
 
@@ -184,36 +175,3 @@ class BinRelation:
     def is_equivalence(self) -> bool:
         return self.is_quasi_order() and self.is_symmetric()
 
-
-def relation_flags(r: BinRelation) -> dict[str, bool]:
-    """Standard property flags of a relation."""
-    reflexive = r.is_reflexive()
-    symmetric = r.is_symmetric()
-    transitive = r.is_transitive()
-    return {
-        "reflexive": reflexive,
-        "symmetric": symmetric,
-        "transitive": transitive,
-        "quasi_order": reflexive and transitive,
-        "equivalence": reflexive and transitive and symmetric,
-    }
-
-
-def compose(sigma: BinRelation, rho: BinRelation) -> BinRelation:
-    """Composition where rho acts first: (a,c) iff (a,b) in rho, (b,c) in sigma."""
-    return rho.then(sigma)
-
-
-def intersect_all(size: int, relations) -> BinRelation:
-    """Intersection of a family; the empty family gives the full relation."""
-    result = BinRelation.full(size)
-    for r in relations:
-        result = result & r
-    return result
-
-
-def union_all(size: int, relations) -> BinRelation:
-    result = BinRelation.empty(size)
-    for r in relations:
-        result = result | r
-    return result

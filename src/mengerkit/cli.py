@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 pass, 1 fail or counterexample, 2 input error, 3 capacity
-error.  The human summary goes to stdout; ``--json`` replaces it with the
-machine report (stable key order, byte-identical for identical inputs).
-Slots are 1-based in all files and reports.
+error.  ``closure``, ``classify``, ``represent``, ``verify`` and ``oracle``
+refuse a table that breaks the composition laws as an input error;
+``check`` reports the laws as verdicts.  The human summary goes to stdout;
+``--json`` replaces it with the machine report (stable key order,
+byte-identical for identical inputs).  Slots are 1-based in all files and
+reports.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import sys
 
 from . import fileio
 from .algebra import (
-    AbstractAlgebra,
     abstract_from_concrete,
     check_associativity,
     check_menger_identities,
@@ -26,6 +28,7 @@ from .relations import build_closure
 from .represent import sum_over_pairs, sum_over_points
 from .tables import ConcreteAlgebra, domain_relations
 from .theorems import (
+    TARGET_KINDS,
     Target,
     least_quasiorder_oracle,
     roundtrip,
@@ -52,6 +55,20 @@ def _load_algebra_pair(path: str, flavor_override: str | None):
     if flavor_override == "plain" and loaded.flavor == "menger":
         loaded = loaded.plain_reduct()
     return loaded, None
+
+
+def _load_semigroup(path: str, flavor_override: str | None):
+    """Like :func:`_load_algebra_pair`, but a table that breaks
+    associativity (or, on menger flavor, the Menger identities) is an
+    input error: every later verdict assumes these laws."""
+    alg, concrete = _load_algebra_pair(path, flavor_override)
+    violation = check_associativity(alg)
+    if violation is None and alg.flavor == "menger":
+        violation = check_menger_identities(alg)
+    if violation is not None:
+        raise InputError(f"not a (2,n)-semigroup: {violation.law} fails at "
+                         f"{violation.witness}")
+    return alg, concrete
 
 
 class Report:
@@ -128,7 +145,7 @@ def cmd_relations(args, report: Report) -> None:
 
 
 def cmd_closure(args, report: Report) -> None:
-    alg, _ = _load_algebra_pair(args.algebra, args.flavor)
+    alg, _ = _load_semigroup(args.algebra, args.flavor)
     kind = _KIND_FLAGS[args.kind]
     pi = fileio.load_relation(args.pi) if args.pi else None
     closure = build_closure(alg, kind, pi)
@@ -140,7 +157,7 @@ def cmd_closure(args, report: Report) -> None:
     report.add(f"closure-{args.kind}", True, f"{closure.count()} pairs")
 
 
-def _target_from_args(args, alg_size: int) -> Target:
+def _target_from_args(args) -> Target:
     rels = {}
     for name in ("chi", "gamma", "pi"):
         path = getattr(args, name)
@@ -150,8 +167,8 @@ def _target_from_args(args, alg_size: int) -> Target:
 
 
 def cmd_classify(args, report: Report) -> None:
-    alg, _ = _load_algebra_pair(args.algebra, args.flavor)
-    target = _target_from_args(args, alg.size)
+    alg, _ = _load_semigroup(args.algebra, args.flavor)
+    target = _target_from_args(args)
     conditions = verify_conditions(alg, target)
     for result in conditions.results:
         report.add(f"{conditions.theorem_id}:{result.name}", result.ok,
@@ -159,7 +176,7 @@ def cmd_classify(args, report: Report) -> None:
 
 
 def cmd_represent(args, report: Report) -> None:
-    alg, _ = _load_algebra_pair(args.algebra, args.flavor)
+    alg, _ = _load_semigroup(args.algebra, args.flavor)
     chi = fileio.load_relation(args.chi)
     if args.point_all:
         rep = sum_over_points(alg, chi)
@@ -172,8 +189,8 @@ def cmd_represent(args, report: Report) -> None:
 
 
 def cmd_verify(args, report: Report) -> None:
-    alg, concrete = _load_algebra_pair(args.algebra, args.flavor)
-    target = _target_from_args(args, alg.size)
+    alg, concrete = _load_semigroup(args.algebra, args.flavor)
+    target = _target_from_args(args)
     verdict = roundtrip(alg, target, concrete=concrete)
     for result in verdict.conditions.results:
         report.add(f"{verdict.theorem_id}:{result.name}", result.ok,
@@ -197,7 +214,7 @@ def cmd_verify(args, report: Report) -> None:
 
 
 def cmd_oracle(args, report: Report) -> None:
-    alg, _ = _load_algebra_pair(args.algebra, args.flavor)
+    alg, _ = _load_semigroup(args.algebra, args.flavor)
     pi = fileio.load_relation(args.pi) if args.pi else None
     least = least_quasiorder_oracle(alg, pi)
     if args.out:
@@ -253,10 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="run the condition battery for a target")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--target", required=True,
-                   choices=["triplet", "pair_chi_gamma", "pair_gamma_pi",
-                            "pair_chi_pi", "single_chi", "single_gamma",
-                            "single_pi"])
+    p.add_argument("--target", required=True, choices=TARGET_KINDS)
     p.add_argument("--chi")
     p.add_argument("--gamma")
     p.add_argument("--pi")
@@ -273,10 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="conditions plus constructive round-trip")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--target", required=True,
-                   choices=["triplet", "pair_chi_gamma", "pair_gamma_pi",
-                            "pair_chi_pi", "single_chi", "single_gamma",
-                            "single_pi"])
+    p.add_argument("--target", required=True, choices=TARGET_KINDS)
     p.add_argument("--chi")
     p.add_argument("--gamma")
     p.add_argument("--pi")

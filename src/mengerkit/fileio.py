@@ -137,17 +137,21 @@ def algebra_from_doc(doc: dict):
     if flavor not in ("menger", "plain"):
         raise InputError(f"{where}: flavor must be menger or plain")
     n = _require(doc, "n", where)
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InputError(f"{where}: n must be a positive integer")
     if kind == "concrete":
         _reject_unknown(doc, {"format", "kind", "flavor", "n", "base_size",
                               "functions"}, where)
         base = _require(doc, "base_size", where)
-        if not isinstance(base, int) or base < 1:
+        if type(base) is not int or base < 1:
             raise InputError(f"{where}: base_size must be a positive integer")
         raw = _require(doc, "functions", where)
+        if type(raw) is not list:
+            raise InputError(f"{where}: functions must be a list")
         functions = []
         for k, entries in enumerate(raw):
+            if type(entries) is not list:
+                raise InputError(f"{where}: functions[{k}] must be a list")
             if len(entries) != base**n:
                 raise InputError(
                     f"{where}: functions[{k}] has {len(entries)} entries, "
@@ -156,7 +160,7 @@ def algebra_from_doc(doc: dict):
             for v in entries:
                 if v is None:
                     cleaned.append(UNDEFINED)
-                elif isinstance(v, int) and 0 <= v < base:
+                elif type(v) is int and 0 <= v < base:
                     cleaned.append(v)
                 else:
                     raise InputError(f"{where}: functions[{k}] entry {v!r} invalid")
@@ -166,6 +170,8 @@ def algebra_from_doc(doc: dict):
         _reject_unknown(doc, {"format", "kind", "flavor", "n", "size", "zero",
                               "mann", "superposition"}, where)
         size = _require(doc, "size", where)
+        if type(size) is not int:
+            raise InputError(f"{where}: size must be an integer")
         mann = _require(doc, "mann", where)
         superposition = doc.get("superposition")
         if flavor == "menger" and superposition is None:
@@ -173,7 +179,7 @@ def algebra_from_doc(doc: dict):
         if flavor == "plain" and superposition is not None:
             raise InputError(f"{where}: plain flavor must not carry superposition")
         zero = doc.get("zero")
-        if zero is not None and not isinstance(zero, int):
+        if zero is not None and type(zero) is not int:
             raise InputError(f"{where}: zero must be an integer index")
         return AbstractAlgebra(n, size, mann, superposition, zero, flavor)
     raise InputError(f"{where}: kind must be abstract or concrete")
@@ -195,6 +201,10 @@ def relation_from_doc(doc: dict) -> BinRelation:
     _reject_unknown(doc, {"format", "size", "matrix"}, where)
     size = _require(doc, "size", where)
     matrix = _require(doc, "matrix", where)
+    if type(size) is not int:
+        raise InputError(f"{where}: size must be an integer")
+    if type(matrix) is not list or any(type(row) is not list for row in matrix):
+        raise InputError(f"{where}: matrix must be a list of rows")
     if len(matrix) != size:
         raise InputError(f"{where}: matrix has {len(matrix)} rows, expected {size}")
     return BinRelation.from_matrix(matrix)

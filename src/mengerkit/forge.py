@@ -26,6 +26,9 @@ from .tables import (
     close_under_operations,
 )
 
+UNDEFINED_PROB = 0.25  # chance that a drawn table cell is undefined
+RETRIES = 32  # fresh draws after a closure-cap overflow
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -35,8 +38,6 @@ class GeneratorConfig:
     seed: int = 0
     flavor: str = "menger"
     closure_cap: int = DEFAULT_CLOSURE_CAP
-    undefined_prob: float = 0.25
-    retries: int = 32
 
     def __post_init__(self):
         if self.arity < 1 or self.base_size < 1 or self.generator_count < 0:
@@ -45,10 +46,9 @@ class GeneratorConfig:
             raise InputError(f"unknown flavor {self.flavor!r}")
 
 
-def _draw_function(rng: random.Random, arity: int, base: int,
-                   undefined_prob: float) -> PartialFunction:
+def _draw_function(rng: random.Random, arity: int, base: int) -> PartialFunction:
     entries = tuple(
-        UNDEFINED if rng.random() < undefined_prob else rng.randrange(base)
+        UNDEFINED if rng.random() < UNDEFINED_PROB else rng.randrange(base)
         for _ in range(base**arity)
     )
     return PartialFunction(arity, base, entries)
@@ -57,14 +57,14 @@ def _draw_function(rng: random.Random, arity: int, base: int,
 def generate_concrete(cfg: GeneratorConfig) -> ConcreteAlgebra:
     """Close randomly drawn partial functions under the compositions.
 
-    Each table cell is undefined with ``undefined_prob``, else uniform.
+    Each table cell is undefined with ``UNDEFINED_PROB``, else uniform.
     Draws that blow past the closure cap are retried with fresh tables
-    from the same stream, up to ``retries`` times.
+    from the same stream, up to ``RETRIES`` times.
     """
     rng = random.Random(f"mengerkit:{cfg.seed}")
-    for _ in range(cfg.retries):
+    for _ in range(RETRIES):
         generators = [
-            _draw_function(rng, cfg.arity, cfg.base_size, cfg.undefined_prob)
+            _draw_function(rng, cfg.arity, cfg.base_size)
             for _ in range(cfg.generator_count)
         ]
         try:
@@ -74,7 +74,7 @@ def generate_concrete(cfg: GeneratorConfig) -> ConcreteAlgebra:
         except CapacityError:
             continue
     raise CapacityError(
-        f"no closure within cap {cfg.closure_cap} after {cfg.retries} retries")
+        f"no closure within cap {cfg.closure_cap} after {RETRIES} retries")
 
 
 RELATION_FILTERS = ("all", "equivalences", "l_regular_equivalences", "quasi_orders")

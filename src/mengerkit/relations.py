@@ -19,13 +19,11 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import EMPTY, AbstractAlgebra, Violation
-from .bitrel import BinRelation, compose
-from .errors import CapacityError, InputError
+from .bitrel import BinRelation
+from .errors import InputError
 
 CLOSURE_KINDS = ("chi_pi", "chi0", "chi_pi_bullet", "chi0_bullet")
 WORD_SYSTEMS = ("A", "B", "C", "A_bullet", "B_bullet", "C_bullet")
-
-DEFAULT_TRANSLATION_CAP = 1_000_000
 
 
 def _check_sized(r: BinRelation, alg: AbstractAlgebra):
@@ -118,40 +116,6 @@ def is_v_negative(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
     return None
 
 
-@dataclass(frozen=True)
-class TranslationSet:
-    """All maps built by wrapping superpositions around the identity."""
-
-    size: int
-    maps: tuple[tuple[int, ...], ...]
-
-
-def inner_translations(alg: AbstractAlgebra,
-                       cap: int = DEFAULT_TRANSLATION_CAP) -> TranslationSet:
-    """Fixpoint of wrapping x -> a[b.. x ..b] around known maps, starting
-    from the identity.  Menger flavor only."""
-    if alg.flavor != "menger":
-        raise InputError("inner translations require menger flavor")
-    m = alg.size
-    one_step = _one_step_translation_maps(alg)
-    identity = tuple(range(m))
-    maps = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for t in frontier:
-            for step in one_step:
-                composed = tuple(step[t[x]] for x in range(m))
-                if composed not in maps:
-                    if len(maps) >= cap:
-                        raise CapacityError(f"translation cap {cap} exceeded",
-                                            count=len(maps))
-                    maps.add(composed)
-                    fresh.append(composed)
-        frontier = fresh
-    return TranslationSet(m, tuple(sorted(maps)))
-
-
 def _one_step_translation_maps(alg: AbstractAlgebra) -> list[tuple[int, ...]]:
     m = alg.size
     result = set()
@@ -176,9 +140,10 @@ def seed_relations(alg: AbstractAlgebra, as_plain: bool = False):
     closed under a common superposition suffix in menger flavor.
     """
     plain = as_plain or alg.flavor == "plain"
-    key = ("seeds", plain)
-    if key in alg._seed_cache:
-        return alg._seed_cache[key]
+    return alg.derived(("seeds", plain), lambda: _seed_relations(alg, plain))
+
+
+def _seed_relations(alg: AbstractAlgebra, plain: bool):
     m = alg.size
 
     comp_pairs = set()
@@ -203,8 +168,6 @@ def seed_relations(alg: AbstractAlgebra, as_plain: bool = False):
         )
         reach = one_step.reflexive_closure().transitive_closure()
         trans = reach.transpose()
-
-    alg._seed_cache[key] = (trans, comp)
     return trans, comp
 
 
@@ -214,9 +177,9 @@ def _one_step_relation(alg: AbstractAlgebra, kind: str,
     trans, comp = seed_relations(alg, as_plain=bullet)
     r = comp.reflexive_closure()
     if not bullet:
-        r = compose(r, trans)
+        r = trans.then(r)
     if kind in ("chi_pi", "chi_pi_bullet"):
-        r = compose(r, pi)
+        r = pi.then(r)
     return r
 
 

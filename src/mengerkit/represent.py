@@ -25,7 +25,6 @@ domain relations combine by intersection (inclusion, equality) and union
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -76,24 +75,19 @@ class Universe:
     def __len__(self):
         return len(self.points)
 
-    def witness_word(self, idx: int):
-        state = self.states.get(idx)
-        return state.word if state is not None else None
 
-
-def build_universe(alg: AbstractAlgebra, bullet: bool | None = None) -> Universe:
-    """Construct the extended point universe; cached per algebra and mode.
+def build_universe(alg: AbstractAlgebra) -> Universe:
+    """Construct the extended point universe; kept for the algebra's lifetime.
 
     Raises InputError when the algebra fails the representability
     implication (point values would be ambiguous) or when a collapsed
     point's two value routes disagree.
     """
-    if bullet is None:
-        bullet = alg.flavor == "plain"
-    if bullet in alg._universes:
-        return alg._universes[bullet]
-    if not bullet and alg.flavor != "menger":
-        raise InputError("full universe requires menger flavor")
+    return alg.derived("universe", lambda: _build_universe(alg))
+
+
+def _build_universe(alg: AbstractAlgebra) -> Universe:
+    bullet = alg.flavor == "plain"
     n, m = alg.arity, alg.size
     space = alg.states()
     for slots, group in space.by_slots.items():
@@ -139,10 +133,8 @@ def build_universe(alg: AbstractAlgebra, bullet: bool | None = None) -> Universe
                 values[g, idx] = alg.sup_at(g, point)
 
     _cross_witness_check(alg, states)
-    universe = Universe(n, m, points, "extended", states=states, values=values,
-                        has_all_tuples=not bullet)
-    alg._universes[bullet] = universe
-    return universe
+    return Universe(n, m, points, "extended", states=states, values=values,
+                    has_all_tuples=not bullet)
 
 
 def _cross_witness_check(alg: AbstractAlgebra, states: dict[int, WordState]):
@@ -200,29 +192,25 @@ class Representation:
         return len(self.parts)
 
 
-def _validate_chi(alg: AbstractAlgebra, chi: BinRelation, bullet: bool):
-    check_alg = alg.plain_reduct() if (bullet and alg.flavor == "menger") else alg
+def _validate_chi(alg: AbstractAlgebra, chi: BinRelation):
     if chi.size != alg.size:
         raise InputError(f"chi size {chi.size} does not match carrier {alg.size}")
     if not chi.is_quasi_order():
         raise InputError("chi must be a quasi-order")
-    if is_l_regular(chi, check_alg) is not None:
+    if is_l_regular(chi, alg) is not None:
         raise InputError("chi must be l-regular")
-    if is_v_negative(chi, check_alg) is not None:
+    if is_v_negative(chi, alg) is not None:
         raise InputError("chi must be v-negative")
 
 
-def build_representation(alg: AbstractAlgebra, chi: BinRelation, mode,
-                         bullet: bool | None = None) -> Representation:
+def build_representation(alg: AbstractAlgebra, chi: BinRelation, mode) -> Representation:
     """One canonical part.  ``mode`` is ("pair", h1, h2) or ("point", a);
     the point form is the pair form with both anchors equal.
 
     chi must be an l-regular, v-negative quasi-order; this is checked
     eagerly because every downstream claim depends on it.
     """
-    if bullet is None:
-        bullet = alg.flavor == "plain"
-    _validate_chi(alg, chi, bullet)
+    _validate_chi(alg, chi)
     if mode[0] == "pair":
         h1, h2 = mode[1], mode[2]
     elif mode[0] == "point":
@@ -231,7 +219,7 @@ def build_representation(alg: AbstractAlgebra, chi: BinRelation, mode,
         raise InputError(f"unknown representation mode {mode[0]!r}")
     if not (0 <= h1 < alg.size and 0 <= h2 < alg.size):
         raise InputError("anchor element out of range")
-    universe = build_universe(alg, bullet=bullet)
+    universe = build_universe(alg)
     part = _anchored_part(universe, chi, h1, h2)
     return Representation(alg.size, (part,))
 
@@ -257,26 +245,21 @@ def _dedupe(parts):
     return tuple(seen.values())
 
 
-def sum_over_pairs(alg: AbstractAlgebra, chi: BinRelation, gamma: BinRelation,
-                   bullet: bool | None = None) -> Representation:
+def sum_over_pairs(alg: AbstractAlgebra, chi: BinRelation,
+                   gamma: BinRelation) -> Representation:
     """Sum of one anchored part per related pair of gamma, in pair order."""
-    if bullet is None:
-        bullet = alg.flavor == "plain"
-    _validate_chi(alg, chi, bullet)
+    _validate_chi(alg, chi)
     if gamma.size != alg.size:
         raise InputError("gamma size does not match carrier")
-    universe = build_universe(alg, bullet=bullet)
+    universe = build_universe(alg)
     parts = [_anchored_part(universe, chi, h1, h2) for h1, h2 in gamma.pairs()]
     return Representation(alg.size, _dedupe(parts))
 
 
-def sum_over_points(alg: AbstractAlgebra, chi: BinRelation,
-                    bullet: bool | None = None) -> Representation:
+def sum_over_points(alg: AbstractAlgebra, chi: BinRelation) -> Representation:
     """Sum of one single-anchor part per carrier element."""
-    if bullet is None:
-        bullet = alg.flavor == "plain"
-    _validate_chi(alg, chi, bullet)
-    universe = build_universe(alg, bullet=bullet)
+    _validate_chi(alg, chi)
+    universe = build_universe(alg)
     parts = [_anchored_part(universe, chi, a, a) for a in range(alg.size)]
     return Representation(alg.size, _dedupe(parts))
 

@@ -74,9 +74,6 @@ class PartialFunction:
     def is_empty(self) -> bool:
         return all(v == UNDEFINED for v in self.entries)
 
-    def is_total(self) -> bool:
-        return all(v != UNDEFINED for v in self.entries)
-
     # -- stock functions --------------------------------------------------
 
     @staticmethod
@@ -98,11 +95,6 @@ class PartialFunction:
         if not (0 <= value < base_size):
             raise InputError(f"constant {value} out of range")
         return PartialFunction(arity, base_size, (value,) * base_size**arity)
-
-
-def evaluate(f: PartialFunction, args: tuple[int, ...]) -> int:
-    """Apply ``f`` to an argument tuple; UNDEFINED outside the domain."""
-    return f.at(args)
 
 
 def _check_compatible(f: PartialFunction, g: PartialFunction):
@@ -180,12 +172,6 @@ class ConcreteAlgebra:
 
     def __len__(self) -> int:
         return len(self.functions)
-
-    def index_of(self, f: PartialFunction) -> int | None:
-        for i, member in enumerate(self.functions):
-            if member.entries == f.entries:
-                return i
-        return None
 
     def closure_violation(self):
         """None when closed under the applicable compositions, else a

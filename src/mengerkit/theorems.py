@@ -38,32 +38,19 @@ from .represent import (
 )
 from .tables import ConcreteAlgebra
 
-TARGET_KINDS = (
-    "triplet",
-    "pair_chi_gamma",
-    "pair_gamma_pi",
-    "pair_chi_pi",
-    "single_chi",
-    "single_gamma",
-    "single_pi",
-)
-
-_THEOREM_IDS = {
-    ("triplet", "menger"): "T1",
-    ("triplet", "plain"): "T1",
-    ("pair_chi_gamma", "menger"): "T1a",
-    ("pair_chi_gamma", "plain"): "T1a",
-    ("pair_gamma_pi", "menger"): "T2",
-    ("pair_gamma_pi", "plain"): "T11",
-    ("pair_chi_pi", "menger"): "T4",
-    ("pair_chi_pi", "plain"): "T4",
-    ("single_chi", "menger"): "T5",
-    ("single_chi", "plain"): "T5",
-    ("single_pi", "menger"): "T6",
-    ("single_pi", "plain"): "T6",
-    ("single_gamma", "menger"): "T8",
-    ("single_gamma", "plain"): "T12",
+# target kind -> (prescribed relations, theorem id)
+_TARGETS = {
+    "triplet": (("chi", "gamma", "pi"), "T1"),
+    "pair_chi_gamma": (("chi", "gamma"), "T1a"),
+    "pair_gamma_pi": (("gamma", "pi"), "T2"),
+    "pair_chi_pi": (("chi", "pi"), "T4"),
+    "single_chi": (("chi",), "T5"),
+    "single_gamma": (("gamma",), "T8"),
+    "single_pi": (("pi",), "T6"),
 }
+_PLAIN_THEOREM_IDS = {"pair_gamma_pi": "T11", "single_gamma": "T12"}
+
+TARGET_KINDS = tuple(_TARGETS)
 
 
 @dataclass(frozen=True)
@@ -74,18 +61,9 @@ class Target:
     pi: BinRelation | None = None
 
     def __post_init__(self):
-        if self.kind not in TARGET_KINDS:
+        if self.kind not in _TARGETS:
             raise InputError(f"unknown target kind {self.kind!r}")
-        needs = {
-            "triplet": ("chi", "gamma", "pi"),
-            "pair_chi_gamma": ("chi", "gamma"),
-            "pair_gamma_pi": ("gamma", "pi"),
-            "pair_chi_pi": ("chi", "pi"),
-            "single_chi": ("chi",),
-            "single_gamma": ("gamma",),
-            "single_pi": ("pi",),
-        }[self.kind]
-        for name in needs:
+        for name in _TARGETS[self.kind][0]:
             if getattr(self, name) is None:
                 raise InputError(f"target {self.kind} requires {name}")
 
@@ -188,10 +166,12 @@ def verify_conditions(alg: AbstractAlgebra, target: Target) -> ConditionsReport:
         rel = getattr(target, name)
         if rel is not None and rel.size != alg.size:
             raise InputError(f"{name} size {rel.size} does not match carrier {alg.size}")
-    report = ConditionsReport(
-        target.kind, _THEOREM_IDS[(target.kind, alg.flavor)], [])
-    results = report.results
     kind = target.kind
+    theorem_id = _TARGETS[kind][1]
+    if alg.flavor == "plain":
+        theorem_id = _PLAIN_THEOREM_IDS.get(kind, theorem_id)
+    report = ConditionsReport(kind, theorem_id, [])
+    results = report.results
 
     if kind in ("triplet", "pair_chi_gamma", "pair_chi_pi", "single_chi"):
         _chi_conditions(alg, target.chi, results)
@@ -224,8 +204,7 @@ def verify_conditions(alg: AbstractAlgebra, target: Target) -> ConditionsReport:
 
 
 def roundtrip(alg: AbstractAlgebra, target: Target,
-              concrete: ConcreteAlgebra | None = None,
-              check_hom: bool = True) -> TheoremVerdict:
+              concrete: ConcreteAlgebra | None = None) -> TheoremVerdict:
     """Build the prescribed representation and compare its domain
     relations with the target, exactly.
 
@@ -279,8 +258,7 @@ def roundtrip(alg: AbstractAlgebra, target: Target,
         raise InputError(f"unhandled target kind {kind!r}")
 
     verdict.representation = rep
-    if check_hom:
-        verdict.hom_violation = verify_homomorphism(rep, alg)
+    verdict.hom_violation = verify_homomorphism(rep, alg)
     return verdict
 
 
@@ -315,30 +293,34 @@ def least_quasiorder_oracle(alg: AbstractAlgebra, pi: BinRelation | None = None,
     if m > cap:
         raise CapacityError(f"oracle cap {cap} exceeded by carrier size {m}",
                             count=m)
-    if alg._oracle_family is None:
-        diagonal_mask = 0
-        for a in range(m):
-            diagonal_mask |= 1 << (a * m + a)
-        family = []
-        for mask in range(1 << (m * m)):
-            if mask & diagonal_mask != diagonal_mask:
-                continue
-            rows = tuple((mask >> (a * m)) & ((1 << m) - 1) for a in range(m))
-            candidate = BinRelation(m, rows)
-            if not candidate.is_transitive():
-                continue
-            if is_l_regular(candidate, alg) is not None:
-                continue
-            if is_v_negative(candidate, alg) is not None:
-                continue
-            family.append(candidate)
-        alg._oracle_family = family
     result = BinRelation.full(m)
-    for candidate in alg._oracle_family:
+    for candidate in alg.derived("oracle_family", lambda: _oracle_family(alg)):
         if pi is not None and not pi.issubset(candidate):
             continue
         result = result & candidate
     return result
+
+
+def _oracle_family(alg: AbstractAlgebra) -> list[BinRelation]:
+    """Every l-regular, v-negative quasi-order on the carrier."""
+    m = alg.size
+    diagonal_mask = 0
+    for a in range(m):
+        diagonal_mask |= 1 << (a * m + a)
+    family = []
+    for mask in range(1 << (m * m)):
+        if mask & diagonal_mask != diagonal_mask:
+            continue
+        rows = tuple((mask >> (a * m)) & ((1 << m) - 1) for a in range(m))
+        candidate = BinRelation(m, rows)
+        if not candidate.is_transitive():
+            continue
+        if is_l_regular(candidate, alg) is not None:
+            continue
+        if is_v_negative(candidate, alg) is not None:
+            continue
+        family.append(candidate)
+    return family
 
 
 def word_system_crosscheck(alg: AbstractAlgebra, pi: BinRelation | None,

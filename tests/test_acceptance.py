@@ -99,7 +99,7 @@ def sufficiency(menger_battery, plain_battery):
         alg = abstract_from_concrete(conc)
         chi, gamma, pi = domain_relations(conc)
         for target in target_suite(chi, gamma, pi):
-            verdict = roundtrip(alg, target, concrete=conc, check_hom=True)
+            verdict = roundtrip(alg, target, concrete=conc)
             verdicts.append((conc, alg, verdict))
     return {"verdicts": verdicts, "seconds": time.monotonic() - start}
 
@@ -369,22 +369,21 @@ def test_criterion_9a_perturbed_tables_flagged(zero_proj, menger_battery):
           f"witnesses")
 
 
-def truncated_relation_scan(alg, r, law):
-    """Independent word-truncated scan confirming a clean pass."""
+def truncated_composite_pairs(alg):
+    """(word result, slot occupant) pairs of every word up to length 4, by
+    literal enumeration: an independent word-truncated view of v-negativity,
+    built once per algebra and checked against each perturbed relation."""
     steps = [(s, y) for s in range(alg.arity) for y in range(alg.size)]
+    pairs = set()
     words = [()]
     for _ in range(4):
         words = [w + (st,) for w in words for st in steps]
         for word in words:
-            occ = slot_occupants(alg, word)
+            occupants = [v for v in slot_occupants(alg, word) if v != EMPTY]
             for x in range(alg.size):
                 result = apply_word(alg, x, word)
-                for k in range(alg.arity):
-                    if occ[k] == EMPTY:
-                        continue
-                    if law == "v-negative" and not r.contains(result, occ[k]):
-                        return (word, x, k)
-    return None
+                pairs.update((result, v) for v in occupants)
+    return pairs
 
 
 def test_criterion_9b_relation_negatives_rejected(menger_battery):
@@ -395,6 +394,7 @@ def test_criterion_9b_relation_negatives_rejected(menger_battery):
         alg = abstract_from_concrete(conc)
         chi, gamma, _ = domain_relations(conc)
         m = alg.size
+        composite_pairs = truncated_composite_pairs(alg)
         for _ in range(12):
             a, b = rng.randrange(m), rng.randrange(m)
             flipped_chi = BinRelation(
@@ -419,8 +419,7 @@ def test_criterion_9b_relation_negatives_rejected(menger_battery):
                         apply_word(alg, x, word), occ)
                 rejected["v-negative"] += 1
             else:
-                assert truncated_relation_scan(alg, flipped_chi, "v-negative") \
-                    is None
+                assert all(flipped_chi.contains(u, v) for u, v in composite_pairs)
             flipped_gamma = BinRelation(
                 m, tuple(row ^ (1 << b) if i == a else row
                          for i, row in enumerate(gamma.rows)))

@@ -8,6 +8,7 @@ from mengerkit import (
     AbstractAlgebra,
     CapacityError,
     EMPTY,
+    GeneratorConfig,
     InputError,
     PartialFunction,
     abstract_from_concrete,
@@ -16,11 +17,12 @@ from mengerkit import (
     check_menger_identities,
     check_representability,
     find_zero,
+    generate_concrete,
     reachable_states,
     slot_occupants,
-    slot_occupants_by_first_use,
     slot_occupants_generic,
 )
+from oracles import slot_occupants_by_first_use
 
 
 def assoc_tables_m2():
@@ -134,7 +136,7 @@ def test_one_element_state_space(one_elem):
 
 def test_zero_proj_state_space(zero_proj):
     space = zero_proj.states()
-    state = space.state_for_slots((1, EMPTY))
+    state = space.by_slots[(1, EMPTY)][0]
     assert state.action == (0, 1)
     assert state.word == ((0, 1),)
     assert len(space.states) == 8
@@ -159,6 +161,20 @@ def test_state_cap():
     alg = abstract_from_concrete(close_under_operations(conc_tables, "plain"))
     with pytest.raises(CapacityError):
         reachable_states(alg, cap=3)
+
+
+def test_state_cap_holds_once_states_are_kept():
+    conc = generate_concrete(
+        GeneratorConfig(arity=2, base_size=3, generator_count=1, seed=8))
+    alg = abstract_from_concrete(conc)
+    assert len(alg.states().states) == 258
+    for cap in (10, 256, 257):
+        with pytest.raises(CapacityError) as fresh:
+            reachable_states(alg, cap=cap)
+        with pytest.raises(CapacityError) as kept:
+            alg.states(cap=cap)
+        assert kept.value.count == fresh.value.count == cap + 1
+    assert len(alg.states(cap=258).states) == 258
 
 
 def test_alt_words_are_recorded_and_consistent(zero_proj):

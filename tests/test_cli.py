@@ -164,6 +164,32 @@ def test_flavor_override_takes_plain_reduct(paths, capsys):
     assert "menger-identities" not in out
 
 
+def test_law_gate_refuses_subtraction_mod_3(tmp_path, capsys):
+    size = 3
+    doc = {"format": "mengerkit-algebra-v1", "kind": "abstract",
+           "flavor": "plain", "n": 1, "size": size,
+           "mann": [[[(x - y) % size for y in range(size)] for x in range(size)]]}
+    alg = tmp_path / "sub3.json"
+    alg.write_text(json.dumps(doc))
+    full = tmp_path / "full.json"
+    save_relation(BinRelation.full(size), str(full))
+    rel = str(full)
+    runs = [
+        ["closure", "--kind", "chi0-bullet"],
+        ["classify", "--target", "single_pi", "--pi", rel],
+        ["represent", "--chi", rel, "--point-all", "--out", str(tmp_path / "rep.json")],
+        ["verify", "--target", "single_chi", "--chi", rel],
+        ["oracle"],
+    ]
+    for argv in runs:
+        assert main(argv + ["--algebra", str(alg)]) == 2, argv
+        captured = capsys.readouterr()
+        assert "associativity:1" in captured.err
+        assert "PASS" not in captured.out
+    assert main(["check", "--algebra", str(alg)]) == 1
+    assert "FAIL associativity" in capsys.readouterr().out
+
+
 def test_oracle_capacity_exit_code(tmp_path):
     size = 5
     table = [[0] * size for _ in range(size)]

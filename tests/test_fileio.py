@@ -151,3 +151,33 @@ def test_representation_rejects_bad_placeholder_position():
     }
     with pytest.raises(InputError):
         representation_from_doc(doc)
+
+
+def test_string_size_rejected():
+    doc = {"format": "mengerkit-algebra-v1", "kind": "abstract", "flavor": "plain",
+           "n": 1, "size": "2", "mann": [[[0, 1], [1, 0]]]}
+    with pytest.raises(InputError):
+        algebra_from_doc(doc)
+
+
+def test_non_list_function_rejected():
+    doc = {"format": "mengerkit-algebra-v1", "kind": "concrete", "flavor": "plain",
+           "n": 1, "base_size": 2, "functions": [5]}
+    with pytest.raises(InputError):
+        algebra_from_doc(doc)
+
+
+def test_non_list_matrix_rejected():
+    with pytest.raises(InputError):
+        relation_from_doc({"format": "mengerkit-relation-v1", "size": 3, "matrix": 5})
+
+
+def test_boolean_table_entries_rejected(zero_proj_concrete):
+    doc = {"format": "mengerkit-algebra-v1", "kind": "abstract", "flavor": "plain",
+           "n": 1, "size": 2, "mann": [[[False, True], [True, False]]]}
+    with pytest.raises(InputError):
+        algebra_from_doc(doc)
+    doc = algebra_to_doc(zero_proj_concrete)
+    doc["functions"][1][0] = True
+    with pytest.raises(InputError):
+        algebra_from_doc(doc)

@@ -43,7 +43,7 @@ def test_outputs_are_closed_and_representable():
 
 def test_capacity_error_after_retries():
     cfg = GeneratorConfig(arity=2, base_size=3, generator_count=4, seed=0,
-                          closure_cap=2, retries=3)
+                          closure_cap=2)
     with pytest.raises(CapacityError):
         generate_concrete(cfg)
 

@@ -11,9 +11,7 @@ from mengerkit import (
     build_closure,
     check_compatibility,
     check_word_system,
-    compose,
     enumerate_relations,
-    inner_translations,
     is_l_cancellative,
     is_l_regular,
     is_v_negative,
@@ -22,6 +20,7 @@ from mengerkit import (
     slot_occupants,
 )
 from mengerkit.relations import _one_step_relation
+from oracles import inner_translations
 
 
 def rel(size, pairs):

@@ -12,7 +12,6 @@ from mengerkit import (
     UNDEFINED,
     close_under_operations,
     domain_relations,
-    evaluate,
     mann_compose,
     superpose,
 )
@@ -20,22 +19,22 @@ from mengerkit import (
 
 def test_evaluate_projection(proj1):
     assert proj1.entries == (0, 0, 1, 1)
-    assert evaluate(proj1, (1, 0)) == 1
+    assert proj1.at((1, 0)) == 1
 
 
 def test_evaluate_outside_domain(corner):
-    assert evaluate(corner, (0, 1)) == UNDEFINED
+    assert corner.at((0, 1)) == UNDEFINED
 
 
 def test_evaluate_empty(empty2):
-    assert evaluate(empty2, (0, 0)) == UNDEFINED
+    assert empty2.at((0, 0)) == UNDEFINED
 
 
 def test_evaluate_rejects_out_of_range(proj1):
     with pytest.raises(InputError):
-        evaluate(proj1, (0, 2))
+        proj1.at((0, 2))
     with pytest.raises(InputError):
-        evaluate(proj1, (0,))
+        proj1.at((0,))
 
 
 def brute_superpose(f, gs):
