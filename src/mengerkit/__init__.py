@@ -71,4 +71,57 @@ from .theorems import (
     word_system_crosscheck,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "EMPTY",
+    "AbstractAlgebra",
+    "Violation",
+    "WordState",
+    "abstract_from_concrete",
+    "apply_word",
+    "check_associativity",
+    "check_menger_identities",
+    "check_representability",
+    "find_zero",
+    "reachable_states",
+    "slot_occupants",
+    "slot_occupants_generic",
+    "BinRelation",
+    "CapacityError",
+    "InputError",
+    "MengerkitError",
+    "GeneratorConfig",
+    "enumerate_relations",
+    "generate_concrete",
+    "identity_representation",
+    "build_closure",
+    "check_compatibility",
+    "check_word_system",
+    "is_l_cancellative",
+    "is_l_regular",
+    "is_v_negative",
+    "is_zero_quasi_equivalence",
+    "seed_relations",
+    "Representation",
+    "Universe",
+    "build_representation",
+    "build_universe",
+    "is_faithful",
+    "representation_relations",
+    "sum_over_pairs",
+    "sum_over_points",
+    "sum_representations",
+    "verify_homomorphism",
+    "UNDEFINED",
+    "ConcreteAlgebra",
+    "PartialFunction",
+    "close_under_operations",
+    "domain_relations",
+    "mann_compose",
+    "superpose",
+    "Target",
+    "TheoremVerdict",
+    "least_quasiorder_oracle",
+    "roundtrip",
+    "verify_conditions",
+    "word_system_crosscheck",
+]

@@ -71,6 +71,8 @@ class AbstractAlgebra:
             raise InputError("carrier size must be positive")
         if flavor not in ("menger", "plain"):
             raise InputError(f"unknown flavor {flavor!r}")
+        if not isinstance(mann, (list, tuple)):
+            raise InputError("mann must be a list of tables")
         mann = _freeze(mann)
         if len(mann) != arity:
             raise InputError(f"expected {arity} mann tables, got {len(mann)}")
@@ -124,7 +126,8 @@ class AbstractAlgebra:
         return node
 
     def sup_array(self) -> np.ndarray:
-        return np.asarray(self.superposition, dtype=np.int64)
+        """The superposition table in the narrowest unsigned type holding m - 1."""
+        return np.asarray(self.superposition, dtype=np.min_scalar_type(self.size - 1))
 
     # -- derived data ---------------------------------------------------
 
@@ -313,26 +316,9 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
         return Violation("superassociativity", (xs, ys),
                          "x0[x1..xn][y1..yn] != x0[x1[y..] .. xn[y..]]")
 
-    for slot in range(n):
-        table = alg.mann[slot]
-        for x in range(m):
-            for y in range(m):
-                xy = table[x][y]
-                for zs in product(range(m), repeat=n):
-                    mixed = zs[:slot] + (alg.sup_at(y, zs),) + zs[slot + 1 :]
-                    if alg.sup_at(xy, zs) != alg.sup_at(x, mixed):
-                        return Violation(
-                            f"slot-into-superposition:{slot + 1}", (x, y, zs),
-                            "(x *i y)[z..] != x[z.. y[z..] ..z]")
-        for x in range(m):
-            for ys in product(range(m), repeat=n):
-                head = alg.sup_at(x, ys)
-                for z in range(m):
-                    shifted = tuple(table[yk][z] for yk in ys)
-                    if table[head][z] != alg.sup_at(x, shifted):
-                        return Violation(
-                            f"superposition-into-slot:{slot + 1}", (x, ys, z),
-                            "x[y..] *i z != x[y1 *i z .. yn *i z]")
+    violation = _mixed_law_violation(alg, S)
+    if violation is not None:
+        return violation
 
     for state in alg.states().states:
         if EMPTY in state.slots:
@@ -342,6 +328,34 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
                 return Violation(
                     "word-superposition", (state.word, x),
                     "x . word != x[occupants(word)] on a slot-complete word")
+    return None
+
+
+def _mixed_law_violation(alg: AbstractAlgebra, S: np.ndarray) -> Violation | None:
+    """First failure of the two mixed laws, slot by slot, each over all
+    instantiations in lexicographic order of its witness:
+    slot-into-superposition (x *i y)[z1..zn] = x[z1.. y[z1..zn] ..zn] and
+    superposition-into-slot x[y1..yn] *i z = x[y1 *i z .. yn *i z]."""
+    n, m = alg.arity, alg.size
+    # grid[k] runs over the carrier along axis k of an (n + 2)-axis grid
+    grid = [np.arange(m).reshape((1,) * k + (m,) + (1,) * (n + 1 - k))
+            for k in range(n + 2)]
+    for slot in range(n):
+        M = np.asarray(alg.mann[slot], dtype=np.intp)
+        x, y, zs = grid[0], grid[1], grid[2:]  # witness (x, y, z1..zn)
+        diff = S[(M[x, y], *zs)] != S[(x, *zs[:slot], S[(y, *zs)], *zs[slot + 1 :])]
+        if diff.any():
+            x, y, *zs = (int(v) for v in np.argwhere(diff)[0])
+            return Violation(
+                f"slot-into-superposition:{slot + 1}", (x, y, tuple(zs)),
+                "(x *i y)[z..] != x[z.. y[z..] ..z]")
+        x, ys, z = grid[0], grid[1 : n + 1], grid[n + 1]  # witness (x, y1..yn, z)
+        diff = M[S[(x, *ys)], z] != S[(x, *(M[y, z] for y in ys))]
+        if diff.any():
+            x, *ys, z = (int(v) for v in np.argwhere(diff)[0])
+            return Violation(
+                f"superposition-into-slot:{slot + 1}", (x, tuple(ys), z),
+                "x[y..] *i z != x[y1 *i z .. yn *i z]")
     return None
 
 

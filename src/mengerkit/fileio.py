@@ -173,6 +173,8 @@ def algebra_from_doc(doc: dict):
         if type(size) is not int:
             raise InputError(f"{where}: size must be an integer")
         mann = _require(doc, "mann", where)
+        if type(mann) is not list:
+            raise InputError(f"{where}: mann must be a list of tables")
         superposition = doc.get("superposition")
         if flavor == "menger" and superposition is None:
             raise InputError(f"{where}: menger flavor requires superposition")

@@ -36,6 +36,11 @@ from .relations import is_l_regular, is_v_negative
 
 BLANK = EMPTY  # placeholder coordinate, only valid at its own slot
 
+# elements in one block of superposition landing points in the homomorphism
+# check: 8 bytes each (intp, which numpy gathers with no per-call index
+# conversion) plus 3 for one head's two sides and their comparison
+HOM_BLOCK_ELEMENTS = 1 << 22
+
 
 class Universe:
     """Point list with substitution lookups and per-element value table."""
@@ -220,17 +225,30 @@ def build_representation(alg: AbstractAlgebra, chi: BinRelation, mode) -> Repres
     if not (0 <= h1 < alg.size and 0 <= h2 < alg.size):
         raise InputError("anchor element out of range")
     universe = build_universe(alg)
-    part = _anchored_part(universe, chi, h1, h2)
-    return Representation(alg.size, (part,))
+    return Representation(alg.size, _anchored_parts(universe, chi, [(h1, h2)]))
 
 
-def _anchored_part(universe: Universe, chi: BinRelation, h1: int, h2: int) -> ReprPart:
-    allowed_bits = chi.rows[h1] | chi.rows[h2]
-    allowed = np.array([bool(allowed_bits >> v & 1) for v in range(chi.size)])
+def _anchored_parts(universe: Universe, chi: BinRelation, anchors) -> tuple[ReprPart, ...]:
+    """One part per distinct anchor mask chi.rows[h1] | chi.rows[h2], in
+    order of first use, labelled by every anchor pair that gives it.
+
+    The mask decides the part, and two masks never give the same part:
+    the blank point's column of ``universe.values`` is arange(m), so a
+    part's blank column is the mask itself (v where bit v is set, -1
+    elsewhere).  Grouping by mask therefore yields the parts, order and
+    labels that building every pair's part and deduplicating would.
+    """
+    labels_by_mask: dict[int, list[str]] = {}
+    for h1, h2 in anchors:
+        label = f"point({h1})" if h1 == h2 else f"pair({h1},{h2})"
+        labels_by_mask.setdefault(chi.rows[h1] | chi.rows[h2], []).append(label)
     values = universe.values
-    assign = np.where(allowed[values], values, -1)
-    label = f"point({h1})" if h1 == h2 else f"pair({h1},{h2})"
-    return ReprPart(universe, assign, (label,))
+    parts = []
+    for mask, labels in labels_by_mask.items():
+        allowed = np.array([bool(mask >> v & 1) for v in range(chi.size)])
+        assign = np.where(allowed[values], values, -1)
+        parts.append(ReprPart(universe, assign, labels))
+    return tuple(parts)
 
 
 def _dedupe(parts):
@@ -247,21 +265,22 @@ def _dedupe(parts):
 
 def sum_over_pairs(alg: AbstractAlgebra, chi: BinRelation,
                    gamma: BinRelation) -> Representation:
-    """Sum of one anchored part per related pair of gamma, in pair order."""
+    """Sum of one anchored part per related pair of gamma, in pair order;
+    pairs with the same anchor mask share one part (see _anchored_parts)."""
     _validate_chi(alg, chi)
     if gamma.size != alg.size:
         raise InputError("gamma size does not match carrier")
     universe = build_universe(alg)
-    parts = [_anchored_part(universe, chi, h1, h2) for h1, h2 in gamma.pairs()]
-    return Representation(alg.size, _dedupe(parts))
+    return Representation(alg.size, _anchored_parts(universe, chi, gamma.pairs()))
 
 
 def sum_over_points(alg: AbstractAlgebra, chi: BinRelation) -> Representation:
-    """Sum of one single-anchor part per carrier element."""
+    """Sum of one single-anchor part per carrier element; elements with
+    the same chi row share one part."""
     _validate_chi(alg, chi)
     universe = build_universe(alg)
-    parts = [_anchored_part(universe, chi, a, a) for a in range(alg.size)]
-    return Representation(alg.size, _dedupe(parts))
+    anchors = [(a, a) for a in range(alg.size)]
+    return Representation(alg.size, _anchored_parts(universe, chi, anchors))
 
 
 def sum_representations(reps) -> Representation:
@@ -308,58 +327,86 @@ def verify_homomorphism(rep: Representation, alg: AbstractAlgebra) -> Violation 
 
     Slot compositions substitute the inner value into the coordinate;
     superposition (menger flavor, universes carrying every all-tuple
-    point) feeds computed values as a fresh argument tuple.  Returns the
-    first mismatch with the elements and point involved.
+    point) feeds computed values as a fresh argument tuple.  Both sides of
+    every equation are compared: n * m**2 slot equations and m**(n+1)
+    superposition equations per universe point of each part.  Parts are
+    checked in order, and within a part slots 1..n and then
+    superposition, each in lexicographic order of its elements and point;
+    the first mismatch is returned with the elements and point involved.
+    Memory is bounded per block of equations (see HOM_BLOCK_ELEMENTS),
+    not by the equation count.
     """
     if rep.size != alg.size:
         raise InputError("representation carrier does not match algebra")
+    mann = [np.asarray(table, dtype=np.intp) for table in alg.mann]
+    sup = alg.sup_array() if alg.flavor == "menger" else None
     for part in rep.parts:
-        violation = _verify_part(part, alg)
+        violation = _verify_part(part, mann, sup)
         if violation is not None:
             return violation
     return None
 
 
-def _verify_part(part: ReprPart, alg: AbstractAlgebra) -> Violation | None:
-    A = part.assign
+def _verify_part(part: ReprPart, mann, sup) -> Violation | None:
     universe = part.universe
-    m, count = A.shape
-    point_ids = np.arange(count)
-    for slot in range(alg.arity):
-        table = np.asarray(alg.mann[slot], dtype=np.int64)
-        lhs = A[table]  # lhs[g1, g2, p] = assignment of g1 *slot g2
-        inner = A  # inner[g2, p]
-        subst_slot = universe.subst[:, slot, :]  # (points, values)
-        landed = subst_slot[point_ids[None, :], np.clip(inner, 0, None)]
-        landed = np.where(inner >= 0, landed, -1)  # (g2, p) -> point or -1
-        rhs = A[:, np.clip(landed, 0, None).reshape(-1)].reshape(m, m, count)
-        rhs = np.where(landed[None, :, :] >= 0, rhs, -1)
-        if not np.array_equal(lhs, rhs):
-            g1, g2, p = (int(v) for v in np.argwhere(lhs != rhs)[0])
-            return Violation(
-                f"homomorphism-slot:{slot + 1}", (g1, g2, universe.points[p]),
-                "P(g1 *i g2) differs from P(g1) *i P(g2)")
-    if alg.flavor == "menger" and universe.all_index is not None:
-        S = alg.sup_array()
-        n = alg.arity
-        lhs = A[S]  # (m,)*(n+1) + (points,)
-        clipped = np.clip(A, 0, None)
-        axes = []
-        valid = np.ones((m,) * n + (count,), dtype=bool)
-        for k in range(n):
-            shape = (1,) * k + (m,) + (1,) * (n - 1 - k) + (count,)
-            axes.append(clipped.reshape(shape))
-            valid &= (A >= 0).reshape(shape)
-        landed = universe.all_index[tuple(axes)]  # (m,)*n + (points,)
-        landed = np.where(valid, landed, -1)
-        rhs = A[:, np.clip(landed, 0, None).reshape(-1)].reshape((m,) * (n + 1) + (count,))
-        rhs = np.where(landed[None] >= 0, rhs, -1)
-        if not np.array_equal(lhs, rhs):
-            where = np.argwhere(lhs != rhs)[0]
-            head = int(where[0])
-            args = tuple(int(v) for v in where[1 : n + 1])
-            p = int(where[n + 1])
-            return Violation(
-                "homomorphism-superposition", (head, args, universe.points[p]),
-                "P(g[g1..gn]) differs from P(g)[P(g1)..P(gn)]")
+    m, count = part.assign.shape
+    size = universe.value_size
+    dtype = np.min_scalar_type(-max(size, 1))  # holds size - 1 and -1
+    A = part.assign.astype(dtype)
+    # Ax[g, -1] is -1, so a landing point of -1 (no such point) reads undefined
+    Ax = np.concatenate([A, np.full((m, 1), -1, dtype=dtype)], axis=1)
+    points = np.arange(count)
+    for slot, table in enumerate(mann):
+        # substitution with a trailing -1 column, read by undefined values
+        subst = np.full((count, size + 1), -1, dtype=np.intp)
+        subst[:, :size] = universe.subst[:, slot, :]
+        landed = subst[points, A]  # landed[g2, p]: p with slot <- P(g2)(p)
+        for g1 in range(m):
+            # P(g1 *slot g2)(p) against P(g1)(p with slot <- P(g2)(p)), rows g2
+            diff = A[table[g1]] != Ax[g1].take(landed)
+            if diff.any():
+                g2, p = (int(v) for v in np.argwhere(diff)[0])
+                return Violation(
+                    f"homomorphism-slot:{slot + 1}", (g1, g2, universe.points[p]),
+                    "P(g1 *i g2) differs from P(g1) *i P(g2)")
+    if sup is not None and universe.all_index is not None:
+        return _verify_superposition(universe, A, Ax, sup)
     return None
+
+
+def _verify_superposition(universe: Universe, A, Ax, sup) -> Violation | None:
+    """First mismatch of P(g[g1..gn])(p) against P(g)(P(g1)(p)..P(gn)(p)).
+
+    The landing points do not depend on the head g, so they are built
+    once per block of leading arguments g1 and every head is compared
+    against them.  A mismatch at head g in one block is the first of all
+    heads <= g there; a later block (larger g1) can only hold an earlier
+    witness at a smaller head, so later blocks check only those.
+    """
+    m, count = A.shape
+    n = sup.ndim - 1
+    size = universe.value_size
+    # all_index with a trailing -1 along each axis, read by undefined values
+    all_index = np.full((size + 1,) * n, -1, dtype=np.intp)
+    all_index[(slice(size),) * n] = universe.all_index
+    trailing = [A.reshape((1,) * k + (m,) + (1,) * (n - 1 - k) + (count,))
+                for k in range(1, n)]
+    rows = max(1, HOM_BLOCK_ELEMENTS // (m ** (n - 1) * count or 1))
+    found, heads = None, m
+    for start in range(0, m, rows):
+        block = A[start : start + rows]
+        lead = block.reshape((len(block),) + (1,) * (n - 1) + (count,))
+        landed = all_index[(lead, *trailing)]  # (g1 in block, g2..gn, p)
+        for g in range(heads):
+            diff = A[sup[g, start : start + rows]] != Ax[g].take(landed)
+            if diff.any():
+                where = [int(v) for v in np.argwhere(diff)[0]]
+                args = (start + where[0],) + tuple(where[1:n])
+                found, heads = (g, args, where[n]), g
+                break
+    if found is None:
+        return None
+    head, args, p = found
+    return Violation(
+        "homomorphism-superposition", (head, args, universe.points[p]),
+        "P(g[g1..gn]) differs from P(g)[P(g1)..P(gn)]")

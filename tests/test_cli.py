@@ -209,3 +209,12 @@ def test_console_entry_point(paths):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "PASS representability" in result.stdout
+
+
+def test_mann_that_is_not_a_list_exits_2(tmp_path, capsys):
+    doc = {"format": "mengerkit-algebra-v1", "kind": "abstract", "n": 1,
+           "size": 2, "flavor": "plain", "mann": 5}
+    alg = tmp_path / "mann5.json"
+    alg.write_text(json.dumps(doc))
+    assert main(["check", "--algebra", str(alg)]) == 2
+    assert "mann" in capsys.readouterr().err
