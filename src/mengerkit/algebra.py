@@ -1,9 +1,9 @@
 """Abstract finite (2,n)-semigroups given by operation tables.
 
-The carrier is {0..m-1}.  ``mann[i][x][y]`` is the slot-i binary
+The carrier is {0..m-1}.  ``mann[i, x, y]`` is the slot-i binary
 composition (0-based slots internally; files and reports are 1-based).
 Menger-flavor algebras additionally carry a full superposition table,
-nested ``sup[g][g1]...[gn]``.
+``superposition[g, g1, ..., gn]``.
 
 Composition words are sequences of (slot, element) steps.  The state of a
 word is the pair (slot occupants, action): occupant i is the element that
@@ -28,6 +28,10 @@ EMPTY = -1  # unoccupied slot marker; only valid at its own position
 
 DEFAULT_STATE_CAP = 2_000_000
 
+# superassociativity lays two argument tuples along 2n array axes, and
+# numpy arrays have at most 64
+MAX_ARITY = 32
+
 Word = tuple[tuple[int, int], ...]  # ((slot, element), ...), slots 0-based
 
 
@@ -40,61 +44,63 @@ class Violation:
     detail: str = ""
 
 
-def _nested_shape_ok(table, dims: int, size: int) -> bool:
-    if dims == 0:
+def _table_ok(table, shape: tuple[int, ...], size: int) -> bool:
+    """Nested int lists, or an integer array, of the given shape with
+    entries in 0..size-1; booleans are not entries."""
+    if isinstance(table, np.ndarray):
+        return (table.dtype.kind in "iu" and table.shape == shape
+                and 0 <= table.min() and table.max() < size)
+    if not shape:
         return type(table) is int and 0 <= table < size
-    if not isinstance(table, (list, tuple)) or len(table) != size:
+    if not isinstance(table, (list, tuple)) or len(table) != shape[0]:
         return False
-    return all(_nested_shape_ok(entry, dims - 1, size) for entry in table)
+    return all(_table_ok(entry, shape[1:], size) for entry in table)
 
 
-def _freeze(table):
-    if isinstance(table, (list, tuple)):
-        return tuple(_freeze(entry) for entry in table)
-    return table
+def _read_only(table) -> np.ndarray:
+    """A read-only intp copy: derived data stays valid for the algebra's life."""
+    array = np.array(table, dtype=np.intp)
+    array.flags.writeable = False
+    return array
 
 
 class AbstractAlgebra:
     """Operation tables plus lazily computed derived data.
 
-    Instances are immutable by convention.  Every value derived from the
-    tables (word states, zero, plain reduct, seed relations, universe,
-    oracle family) is computed once through :meth:`derived` and kept for
-    the algebra's lifetime, so it is observable as if computed eagerly.
+    ``mann`` is a read-only (n, m, m) intp array and ``superposition`` a
+    read-only (m,) * (n + 1) intp array, or None on plain flavor.  Every
+    value derived from the tables (word states, zero, plain reduct, seed
+    relations, translation table, universe, oracle family) is computed once
+    through :meth:`derived` and kept for the algebra's lifetime, so it is
+    observable as if computed eagerly.
     """
 
     def __init__(self, arity, size, mann, superposition=None, zero=None,
                  flavor="menger"):
-        if arity < 1:
-            raise InputError("arity must be positive")
+        if not 1 <= arity <= MAX_ARITY:
+            raise InputError(f"arity must be in 1..{MAX_ARITY}")
         if size < 1:
             raise InputError("carrier size must be positive")
         if flavor not in ("menger", "plain"):
             raise InputError(f"unknown flavor {flavor!r}")
-        if not isinstance(mann, (list, tuple)):
-            raise InputError("mann must be a list of tables")
-        mann = _freeze(mann)
-        if len(mann) != arity:
-            raise InputError(f"expected {arity} mann tables, got {len(mann)}")
-        for k, table in enumerate(mann):
-            if not _nested_shape_ok(table, 2, size):
-                raise InputError(f"mann table {k + 1} is not a total {size}x{size} table")
+        if not _table_ok(mann, (arity, size, size), size):
+            raise InputError(f"mann must be a list of {arity} total {size}x{size} tables")
         if flavor == "menger":
             if superposition is None:
                 raise InputError("menger flavor requires a superposition table")
-            superposition = _freeze(superposition)
-            if not _nested_shape_ok(superposition, arity + 1, size):
+            if not _table_ok(superposition, (size,) * (arity + 1), size):
                 raise InputError("superposition table has wrong shape or entries")
+            superposition = _read_only(superposition)
         elif superposition is not None:
             raise InputError("plain flavor must not carry a superposition table")
         self.arity = arity
         self.size = size
-        self.mann = mann
+        self.mann = _read_only(mann)
         self.superposition = superposition
         self.flavor = flavor
         self.zero = zero
         if zero is not None:
-            if not isinstance(zero, int) or not (0 <= zero < size):
+            if type(zero) is not int or not (0 <= zero < size):
                 raise InputError(f"zero index {zero!r} out of range")
             violation = _zero_law_violation(self, zero)
             if violation is not None:
@@ -107,8 +113,8 @@ class AbstractAlgebra:
             isinstance(other, AbstractAlgebra)
             and self.arity == other.arity
             and self.size == other.size
-            and self.mann == other.mann
-            and self.superposition == other.superposition
+            and np.array_equal(self.mann, other.mann)
+            and np.array_equal(self.superposition, other.superposition)  # or both None
             and self.zero == other.zero
             and self.flavor == other.flavor
         )
@@ -116,18 +122,6 @@ class AbstractAlgebra:
     def __repr__(self):
         return (f"AbstractAlgebra(arity={self.arity}, size={self.size}, "
                 f"flavor={self.flavor!r}, zero={self.zero})")
-
-    # -- operations -----------------------------------------------------
-
-    def sup_at(self, g: int, args: tuple[int, ...]) -> int:
-        node = self.superposition[g]
-        for a in args:
-            node = node[a]
-        return node
-
-    def sup_array(self) -> np.ndarray:
-        """The superposition table in the narrowest unsigned type holding m - 1."""
-        return np.asarray(self.superposition, dtype=np.min_scalar_type(self.size - 1))
 
     # -- derived data ---------------------------------------------------
 
@@ -157,6 +151,23 @@ class AbstractAlgebra:
         return space
 
 
+def right_translations(alg: AbstractAlgebra):
+    """(table, args), kept with the algebra.  ``table`` is the read-only
+    (m, n*m + m**n) table of every right translation of x: column block i
+    holds x *i z for z = 0..m-1, then on menger flavor one column x[zs]
+    per argument tuple zs, lexicographic; row k of ``args`` is the k-th zs
+    (None on plain flavor)."""
+    def compute():
+        n, m = alg.arity, alg.size
+        table, args = alg.mann.transpose(1, 0, 2).reshape(m, n * m), None
+        if alg.flavor == "menger":
+            table = np.concatenate([table, alg.superposition.reshape(m, m**n)], axis=1)
+            args = _read_only(np.indices((m,) * n).reshape(n, -1).T)
+        return _read_only(table), args
+
+    return alg.derived("translations", compute)
+
+
 @dataclass(frozen=True)
 class WordState:
     """Reachable state of a composition word: slot occupants plus action.
@@ -176,14 +187,20 @@ class WordState:
 
 @dataclass(frozen=True)
 class StateSpace:
+    """Reachable states in BFS order, plus their occupants and actions as
+    read-only arrays: ``slots[s]`` and ``actions[s]`` belong to
+    ``states[s]``."""
+
     states: tuple[WordState, ...]  # depth >= 1, BFS order
     by_slots: dict
+    slots: np.ndarray  # (states, n), EMPTY where a slot is untouched
+    actions: np.ndarray  # (states, m)
 
 
 def apply_word(alg: AbstractAlgebra, x: int, word: Word) -> int:
     """Left-to-right fold of the word's steps through the mann tables."""
     for slot, y in word:
-        x = alg.mann[slot][x][y]
+        x = int(alg.mann[slot, x, y])
     return x
 
 
@@ -207,7 +224,7 @@ def slot_occupants_generic(word, n: int, combine) -> tuple:
 def slot_occupants(alg: AbstractAlgebra, word: Word) -> tuple[int, ...]:
     """Per-slot occupants after performing the word (EMPTY for untouched)."""
     return slot_occupants_generic(
-        word, alg.arity, lambda v, slot, y: alg.mann[slot][v][y])
+        word, alg.arity, lambda v, slot, y: int(alg.mann[slot, v, y]))
 
 
 def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
@@ -215,6 +232,7 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
     extensions.  State identity is (slots, action); one shortest witness
     word is kept per state, plus one alternative witness when available."""
     n, m = alg.arity, alg.size
+    mann = alg.mann.tolist()  # Python ints index faster than array scalars
     identity = tuple(range(m))
     init_key = ((EMPTY,) * n, identity)
     initial = WordState(init_key[0], identity, 0, ())
@@ -224,7 +242,7 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
     while queue:
         state = queue.popleft()
         for slot in range(n):
-            table = alg.mann[slot]
+            table = mann[slot]
             for y in range(m):
                 new_slots = tuple(
                     (table[v][y] if v != EMPTY else (y if i == slot else EMPTY))
@@ -249,7 +267,9 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
     by_slots: dict[tuple, list[WordState]] = {}
     for state in order:
         by_slots.setdefault(state.slots, []).append(state)
-    return StateSpace(tuple(order), by_slots)
+    slots = _read_only([state.slots for state in order]).reshape(len(order), n)
+    actions = _read_only([state.action for state in order]).reshape(len(order), m)
+    return StateSpace(tuple(order), by_slots, slots, actions)
 
 
 def check_representability(alg: AbstractAlgebra) -> Violation | None:
@@ -260,35 +280,41 @@ def check_representability(alg: AbstractAlgebra) -> Violation | None:
     returned witness carries the two words and an element where the
     actions differ.
     """
-    space = alg.states()
-    for slots, group in space.by_slots.items():
-        if len(group) < 2:
-            continue
-        first = group[0]
-        for other in group[1:]:
-            for g in range(alg.size):
-                if first.action[g] != other.action[g]:
-                    return Violation(
-                        "representability",
-                        (first.word, other.word, g, first.action[g], other.action[g]),
-                        "two words share slot occupants but act differently",
-                    )
+    for group in alg.states().by_slots.values():
+        if len(group) > 1:  # states are distinct, so their actions differ
+            first, other = group[:2]
+            g = next(g for g, (a, b) in enumerate(zip(first.action, other.action))
+                     if a != b)
+            return Violation(
+                "representability",
+                (first.word, other.word, g, first.action[g], other.action[g]),
+                "two words share slot occupants but act differently",
+            )
     return None
+
+
+def _axis(k: int, ndim: int, m: int) -> np.ndarray:
+    """arange(m) laid along axis k of an ndim-axis grid."""
+    return np.arange(m).reshape((1,) * k + (m,) + (1,) * (ndim - 1 - k))
+
+
+def _first(diff: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry in row-major order, or None."""
+    k = int(diff.argmax()) if diff.size else 0
+    if not diff.size or not diff.item(k):
+        return None
+    return tuple(int(v) for v in np.unravel_index(k, diff.shape))
 
 
 def check_associativity(alg: AbstractAlgebra) -> Violation | None:
     """Each slot composition must be associative; first violating triple wins."""
-    m = alg.size
-    for slot in range(alg.arity):
-        table = alg.mann[slot]
-        for x in range(m):
-            for y in range(m):
-                xy = table[x][y]
-                for z in range(m):
-                    if table[xy][z] != table[x][table[y][z]]:
-                        return Violation(
-                            f"associativity:{slot + 1}", (x, y, z),
-                            f"(x *{slot + 1} y) *{slot + 1} z != x *{slot + 1} (y *{slot + 1} z)")
+    x = _axis(0, 3, alg.size)
+    for slot, M in enumerate(alg.mann):
+        where = _first(M[M] != M[x, M])  # (x y) z against x (y z), axes x, y, z
+        if where is not None:
+            return Violation(
+                f"associativity:{slot + 1}", where,
+                f"(x *{slot + 1} y) *{slot + 1} z != x *{slot + 1} (y *{slot + 1} z)")
     return None
 
 
@@ -301,58 +327,67 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
         raise InputError("menger identities require menger flavor")
     n, m = alg.arity, alg.size
 
-    # superassociativity, vectorized: both sides over all (x0..xn, y1..yn)
-    S = alg.sup_array()
-    lhs = S[S]  # lhs[x0..xn, y1..yn] = S[S[x0..xn], y1..yn]
-    ix0 = np.arange(m).reshape((m,) + (1,) * (2 * n))
-    inner = [
-        S.reshape((1,) * i + (m,) + (1,) * (n - i) + (m,) * n)
-        for i in range(1, n + 1)
-    ]
-    rhs = S[tuple([ix0] + inner)]
-    if not np.array_equal(lhs, rhs):
-        where = np.argwhere(lhs != rhs)[0]
-        xs, ys = tuple(int(v) for v in where[: n + 1]), tuple(int(v) for v in where[n + 1 :])
-        return Violation("superassociativity", (xs, ys),
-                         "x0[x1..xn][y1..yn] != x0[x1[y..] .. xn[y..]]")
+    # superassociativity x0[x1..xn][ys] = x0[x1[ys] .. xn[ys]], one head x0
+    # at a time over the axes (xs, ys) of argument tuples in table order
+    T, args = right_translations(alg)
+    rows = T[:, n * m :]  # rows[x, k] = x[args[k]]
+    # inner[j, k]: the row of args holding (x1[ys] .. xn[ys]) for
+    # xs = args[j] and ys = args[k]
+    inner = (rows[args] * m ** np.arange(n - 1, -1, -1)[:, None]).sum(axis=1)
+    for x0 in range(m):
+        where = _first(rows[rows[x0]] != rows[x0][inner])
+        if where is not None:
+            xs, ys = (tuple(int(v) for v in args[k]) for k in where)
+            return Violation("superassociativity", ((x0, *xs), ys),
+                             "x0[x1..xn][y1..yn] != x0[x1[y..] .. xn[y..]]")
 
-    violation = _mixed_law_violation(alg, S)
+    violation = _mixed_law_violation(alg)
     if violation is not None:
         return violation
 
-    for state in alg.states().states:
-        if EMPTY in state.slots:
-            continue
-        for x in range(m):
-            if state.action[x] != alg.sup_at(x, state.slots):
-                return Violation(
-                    "word-superposition", (state.word, x),
-                    "x . word != x[occupants(word)] on a slot-complete word")
+    space = alg.states()
+    found = _word_superposition_mismatch(alg, space)
+    if found is not None:
+        s, x = found
+        return Violation(
+            "word-superposition", (space.states[s].word, x),
+            "x . word != x[occupants(word)] on a slot-complete word")
     return None
 
 
-def _mixed_law_violation(alg: AbstractAlgebra, S: np.ndarray) -> Violation | None:
+def _word_superposition_mismatch(alg: AbstractAlgebra,
+                                 space: StateSpace) -> tuple[int, int] | None:
+    """First (state index, x), in BFS order, with x . word != x[occupants]
+    on a slot-complete state."""
+    complete = np.flatnonzero((space.slots != EMPTY).all(axis=1))
+    slots = space.slots[complete]
+    routed = alg.superposition[(_axis(1, 2, alg.size), *slots.T[:, :, None])]
+    where = _first(space.actions[complete] != routed)
+    return None if where is None else (int(complete[where[0]]), where[1])
+
+
+def _mixed_law_violation(alg: AbstractAlgebra) -> Violation | None:
     """First failure of the two mixed laws, slot by slot, each over all
     instantiations in lexicographic order of its witness:
     slot-into-superposition (x *i y)[z1..zn] = x[z1.. y[z1..zn] ..zn] and
     superposition-into-slot x[y1..yn] *i z = x[y1 *i z .. yn *i z]."""
     n, m = alg.arity, alg.size
+    S = alg.superposition
     # grid[k] runs over the carrier along axis k of an (n + 2)-axis grid
-    grid = [np.arange(m).reshape((1,) * k + (m,) + (1,) * (n + 1 - k))
-            for k in range(n + 2)]
-    for slot in range(n):
-        M = np.asarray(alg.mann[slot], dtype=np.intp)
+    grid = [_axis(k, n + 2, m) for k in range(n + 2)]
+    for slot, M in enumerate(alg.mann):
         x, y, zs = grid[0], grid[1], grid[2:]  # witness (x, y, z1..zn)
-        diff = S[(M[x, y], *zs)] != S[(x, *zs[:slot], S[(y, *zs)], *zs[slot + 1 :])]
-        if diff.any():
-            x, y, *zs = (int(v) for v in np.argwhere(diff)[0])
+        where = _first(S[(M[x, y], *zs)]
+                       != S[(x, *zs[:slot], S[(y, *zs)], *zs[slot + 1 :])])
+        if where is not None:
+            x, y, *zs = where
             return Violation(
                 f"slot-into-superposition:{slot + 1}", (x, y, tuple(zs)),
                 "(x *i y)[z..] != x[z.. y[z..] ..z]")
         x, ys, z = grid[0], grid[1 : n + 1], grid[n + 1]  # witness (x, y1..yn, z)
-        diff = M[S[(x, *ys)], z] != S[(x, *(M[y, z] for y in ys))]
-        if diff.any():
-            x, *ys, z = (int(v) for v in np.argwhere(diff)[0])
+        where = _first(M[S[(x, *ys)], z] != S[(x, *(M[y, z] for y in ys))])
+        if where is not None:
+            x, *ys, z = where
             return Violation(
                 f"superposition-into-slot:{slot + 1}", (x, tuple(ys), z),
                 "x[y..] *i z != x[y1 *i z .. yn *i z]")
@@ -361,32 +396,38 @@ def _mixed_law_violation(alg: AbstractAlgebra, S: np.ndarray) -> Violation | Non
 
 def find_zero(alg: AbstractAlgebra) -> int | None:
     """The unique element absorbing every composition, or None."""
-    for z in range(alg.size):
+    z = np.arange(alg.size)  # candidates: z *i g == z == g *i z in every slot
+    absorbing = (alg.mann == z[:, None]).all(axis=(0, 2)) & (alg.mann == z).all(axis=(0, 1))
+    for z in np.flatnonzero(absorbing).tolist():
         if _zero_law_violation(alg, z) is None:
             return z
     return None
 
 
 def _zero_law_violation(alg: AbstractAlgebra, z: int) -> Violation | None:
-    m = alg.size
-    for slot in range(alg.arity):
-        table = alg.mann[slot]
-        for g in range(m):
-            if table[z][g] != z:
-                return Violation(f"zero-left:{slot + 1}", (z, g), "0 *i g != 0")
-            if table[g][z] != z:
-                return Violation(f"zero-right:{slot + 1}", (g, z), "g *i 0 != 0")
+    """First failure of the zero laws at z: slot by slot, g ascending,
+    left absorption before right at the same g; then superposition with
+    z as head, then with z as an argument (g, slot, other arguments)."""
+    left, right = alg.mann[:, z] != z, alg.mann[:, :, z] != z  # axes (slot, g)
+    where = _first(left | right)
+    if where is not None:
+        slot, g = where
+        if left[slot, g]:
+            return Violation(f"zero-left:{slot + 1}", (z, g), "0 *i g != 0")
+        return Violation(f"zero-right:{slot + 1}", (g, z), "g *i 0 != 0")
     if alg.flavor == "menger":
-        for args in product(range(m), repeat=alg.arity):
-            if alg.sup_at(z, args) != z:
-                return Violation("zero-superposition-head", (z, args), "0[g..] != 0")
-        for g in range(m):
-            for slot in range(alg.arity):
-                for rest in product(range(m), repeat=alg.arity - 1):
-                    args = rest[:slot] + (z,) + rest[slot:]
-                    if alg.sup_at(g, args) != z:
-                        return Violation("zero-superposition-arg", (g, slot + 1, args),
-                                         "g[.. 0 ..] != 0")
+        S = alg.superposition
+        where = _first(S[z] != z)
+        if where is not None:
+            return Violation("zero-superposition-head", (z, where), "0[g..] != 0")
+        # axes (g, slot, other arguments): z fills the slot
+        where = _first(np.stack([np.take(S, z, axis=slot + 1)
+                                 for slot in range(alg.arity)], axis=1) != z)
+        if where is not None:
+            g, slot, *rest = where
+            args = (*rest[:slot], z, *rest[slot:])
+            return Violation("zero-superposition-arg", (g, slot + 1, args),
+                             "g[.. 0 ..] != 0")
     return None
 
 
@@ -400,7 +441,7 @@ def abstract_from_concrete(conc: ConcreteAlgebra) -> AbstractAlgebra:
     is a member).
     """
     funcs = conc.functions
-    m = len(funcs)
+    n, m = conc.arity, len(funcs)
     if m == 0:
         raise InputError("cannot abstract an empty concrete algebra")
     index = {f.entries: i for i, f in enumerate(funcs)}
@@ -411,31 +452,20 @@ def abstract_from_concrete(conc: ConcreteAlgebra) -> AbstractAlgebra:
             raise InputError(f"concrete algebra is not closed: {label} missing")
         return i
 
-    mann = []
-    for slot in range(conc.arity):
-        rows = []
-        for i, f in enumerate(funcs):
-            row = []
-            for j, g in enumerate(funcs):
-                row.append(locate(mann_compose(f, g, slot), f"f{i} *{slot + 1} f{j}"))
-            rows.append(tuple(row))
-        mann.append(tuple(rows))
+    mann = np.empty((n, m, m), dtype=np.intp)
+    for slot, i, j in product(range(n), range(m), range(m)):
+        mann[slot, i, j] = locate(mann_compose(funcs[i], funcs[j], slot),
+                                  f"f{i} *{slot + 1} f{j}")
 
     superposition = None
     if conc.flavor == "menger":
-        def build(prefix_head, chosen):
-            if len(chosen) == conc.arity:
-                label = f"f{prefix_head}[{' '.join('f%d' % c for c in chosen)}]"
-                return locate(
-                    superpose(funcs[prefix_head], [funcs[c] for c in chosen]), label)
-            return tuple(build(prefix_head, chosen + [j]) for j in range(m))
+        superposition = np.empty((m,) * (n + 1), dtype=np.intp)
+        for head, *chosen in product(range(m), repeat=n + 1):
+            label = f"f{head}[{' '.join('f%d' % c for c in chosen)}]"
+            superposition[(head, *chosen)] = locate(
+                superpose(funcs[head], [funcs[c] for c in chosen]), label)
 
-        superposition = tuple(build(i, []) for i in range(m))
-
-    alg = AbstractAlgebra(conc.arity, m, tuple(mann), superposition,
-                          zero=None, flavor=conc.flavor)
-    zero = find_zero(alg)
-    if zero is not None:
-        alg = AbstractAlgebra(conc.arity, m, tuple(mann), superposition,
-                              zero=zero, flavor=conc.flavor)
-    return alg
+    alg = AbstractAlgebra(n, m, mann, superposition, flavor=conc.flavor)
+    zero = alg.zero_element()
+    return alg if zero is None else AbstractAlgebra(n, m, mann, superposition, zero,
+                                                    conc.flavor)

@@ -88,17 +88,6 @@ class BinRelation:
     def count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
-    def row(self, a: int) -> int:
-        return self.rows[a]
-
-    def pr1(self) -> int:
-        """Bitmask of elements occurring as a first coordinate."""
-        mask = 0
-        for a, r in enumerate(self.rows):
-            if r:
-                mask |= 1 << a
-        return mask
-
     def to_matrix(self) -> list[list[int]]:
         return [[(row >> b) & 1 for b in range(self.size)] for row in self.rows]
 

@@ -13,10 +13,10 @@ import json
 
 import numpy as np
 
-from .algebra import AbstractAlgebra, Violation
+from .algebra import MAX_ARITY, AbstractAlgebra, Violation
 from .bitrel import BinRelation
 from .errors import InputError
-from .represent import Representation, ReprPart, Universe
+from .represent import BLANK, Representation, ReprPart, Universe
 from .tables import UNDEFINED, ConcreteAlgebra, PartialFunction
 
 ALGEBRA_FORMAT = "mengerkit-algebra-v1"
@@ -39,6 +39,46 @@ def _require(doc: dict, name: str, where: str):
     if name not in doc:
         raise InputError(f"{where}: missing field {name!r}")
     return doc[name]
+
+
+def _int(doc: dict, name: str, where: str, low: int = 0) -> int:
+    """A required integer field >= low; booleans are not integers."""
+    value = _require(doc, name, where)
+    if type(value) is not int or value < low:
+        raise InputError(f"{where}: {name} must be an integer >= {low}")
+    return value
+
+
+def _arity(doc: dict, where: str) -> int:
+    n = _int(doc, "n", where, 1)
+    if n > MAX_ARITY:
+        raise InputError(f"{where}: n must be at most {MAX_ARITY}")
+    return n
+
+
+def _list(doc: dict, name: str, where: str) -> list:
+    value = _require(doc, name, where)
+    if type(value) is not list:
+        raise InputError(f"{where}: {name} must be a list")
+    return value
+
+
+def _object(doc, fmt: str | None, where: str) -> dict:
+    """doc, checked to be a JSON object carrying format tag fmt (if any)."""
+    if type(doc) is not dict:
+        raise InputError(f"{where}: must be an object")
+    if fmt is not None and _require(doc, "format", where) != fmt:
+        raise InputError(f"{where}: format must be {fmt!r}")
+    return doc
+
+
+def _partial_row(row, width: int, bound: int, where: str) -> list[int]:
+    """A list of width entries, each null (read as -1) or in 0..bound-1."""
+    if type(row) is not list or len(row) != width or any(
+            v is not None and (type(v) is not int or not 0 <= v < bound) for v in row):
+        raise InputError(f"{where}: expected a list of {width} entries, "
+                         f"each null or in 0..{bound - 1}")
+    return [-1 if v is None else v for v in row]
 
 
 # -- words and points -------------------------------------------------
@@ -110,80 +150,38 @@ def algebra_to_doc(alg) -> dict:
             "flavor": alg.flavor,
             "n": alg.arity,
             "size": alg.size,
-            "mann": [[list(row) for row in table] for table in alg.mann],
+            "mann": alg.mann.tolist(),
         }
         if alg.zero is not None:
             doc["zero"] = alg.zero
         if alg.superposition is not None:
-            doc["superposition"] = _nested_list(alg.superposition)
+            doc["superposition"] = alg.superposition.tolist()
         return doc
     raise InputError(f"cannot serialize {type(alg).__name__}")
 
 
-def _nested_list(table):
-    if isinstance(table, tuple):
-        return [_nested_list(entry) for entry in table]
-    return table
-
-
 def algebra_from_doc(doc: dict):
     where = "algebra file"
-    if not isinstance(doc, dict):
-        raise InputError(f"{where}: document must be an object")
-    if _require(doc, "format", where) != ALGEBRA_FORMAT:
-        raise InputError(f"{where}: format must be {ALGEBRA_FORMAT!r}")
+    _object(doc, ALGEBRA_FORMAT, where)
     kind = _require(doc, "kind", where)
     flavor = _require(doc, "flavor", where)
     if flavor not in ("menger", "plain"):
         raise InputError(f"{where}: flavor must be menger or plain")
-    n = _require(doc, "n", where)
-    if type(n) is not int or n < 1:
-        raise InputError(f"{where}: n must be a positive integer")
+    n = _arity(doc, where)
     if kind == "concrete":
         _reject_unknown(doc, {"format", "kind", "flavor", "n", "base_size",
                               "functions"}, where)
-        base = _require(doc, "base_size", where)
-        if type(base) is not int or base < 1:
-            raise InputError(f"{where}: base_size must be a positive integer")
-        raw = _require(doc, "functions", where)
-        if type(raw) is not list:
-            raise InputError(f"{where}: functions must be a list")
-        functions = []
-        for k, entries in enumerate(raw):
-            if type(entries) is not list:
-                raise InputError(f"{where}: functions[{k}] must be a list")
-            if len(entries) != base**n:
-                raise InputError(
-                    f"{where}: functions[{k}] has {len(entries)} entries, "
-                    f"expected {base**n}")
-            cleaned = []
-            for v in entries:
-                if v is None:
-                    cleaned.append(UNDEFINED)
-                elif type(v) is int and 0 <= v < base:
-                    cleaned.append(v)
-                else:
-                    raise InputError(f"{where}: functions[{k}] entry {v!r} invalid")
-            functions.append(PartialFunction(n, base, tuple(cleaned)))
-        return ConcreteAlgebra(n, base, tuple(functions), flavor)
+        base = _int(doc, "base_size", where, 1)
+        functions = tuple(
+            PartialFunction(n, base, tuple(_partial_row(
+                entries, base**n, base, f"{where}: functions[{k}]")))
+            for k, entries in enumerate(_list(doc, "functions", where)))
+        return ConcreteAlgebra(n, base, functions, flavor)
     if kind == "abstract":
         _reject_unknown(doc, {"format", "kind", "flavor", "n", "size", "zero",
                               "mann", "superposition"}, where)
-        size = _require(doc, "size", where)
-        if type(size) is not int:
-            raise InputError(f"{where}: size must be an integer")
-        mann = _require(doc, "mann", where)
-        if type(mann) is not list:
-            raise InputError(f"{where}: mann must be a list of tables")
-        superposition = doc.get("superposition")
-        if flavor == "menger" and superposition is None:
-            raise InputError(f"{where}: menger flavor requires superposition")
-        if flavor == "plain" and superposition is not None:
-            raise InputError(f"{where}: plain flavor must not carry superposition")
-        zero = doc.get("zero")
-        if zero is not None and type(zero) is not int:
-            raise InputError(f"{where}: zero must be an integer index")
-        return AbstractAlgebra(n, size, mann, superposition, zero, flavor)
+        return AbstractAlgebra(n, _int(doc, "size", where, 1), _list(doc, "mann", where),
+                               doc.get("superposition"), doc.get("zero"), flavor)
     raise InputError(f"{where}: kind must be abstract or concrete")
 
 
@@ -196,16 +194,11 @@ def relation_to_doc(r: BinRelation) -> dict:
 
 def relation_from_doc(doc: dict) -> BinRelation:
     where = "relation file"
-    if not isinstance(doc, dict):
-        raise InputError(f"{where}: document must be an object")
-    if _require(doc, "format", where) != RELATION_FORMAT:
-        raise InputError(f"{where}: format must be {RELATION_FORMAT!r}")
+    _object(doc, RELATION_FORMAT, where)
     _reject_unknown(doc, {"format", "size", "matrix"}, where)
-    size = _require(doc, "size", where)
-    matrix = _require(doc, "matrix", where)
-    if type(size) is not int:
-        raise InputError(f"{where}: size must be an integer")
-    if type(matrix) is not list or any(type(row) is not list for row in matrix):
+    size = _int(doc, "size", where)
+    matrix = _list(doc, "matrix", where)
+    if any(type(row) is not list for row in matrix):
         raise InputError(f"{where}: matrix must be a list of rows")
     if len(matrix) != size:
         raise InputError(f"{where}: matrix has {len(matrix)} rows, expected {size}")
@@ -219,12 +212,8 @@ def representation_to_doc(rep: Representation) -> dict:
     parts = []
     for part in rep.parts:
         u = part.universe
-        points = []
-        for point in u.points:
-            if u.kind == "extended":
-                points.append(point_to_json(point))
-            else:
-                points.append([int(c) for c in point])
+        points = [point_to_json(p) if u.kind == "extended" else [int(c) for c in p]
+                  for p in u.points]
         parts.append({
             "kind": u.kind,
             "n": u.n,
@@ -238,66 +227,59 @@ def representation_to_doc(rep: Representation) -> dict:
     return {"format": REPRESENTATION_FORMAT, "size": rep.size, "parts": parts}
 
 
-def _point_from_json(coords, n, where):
-    if len(coords) != n:
-        raise InputError(f"{where}: point has {len(coords)} coordinates, expected {n}")
+def _point_from_json(coords, n: int, value_size: int, where: str) -> tuple:
+    """A point of n coordinates: values 0..value_size-1, bare or as
+    {"g": v}, and at position i the placeholder {"e": i}."""
+    if type(coords) is not list or len(coords) != n:
+        raise InputError(f"{where}: a point must be a list of {n} coordinates")
     point = []
     for i, c in enumerate(coords):
-        if isinstance(c, int):
-            point.append(c)
-        elif isinstance(c, dict) and set(c) == {"g"}:
-            point.append(int(c["g"]))
-        elif isinstance(c, dict) and set(c) == {"e"}:
-            if c["e"] != i + 1:
-                raise InputError(f"{where}: placeholder {c} at position {i + 1}")
-            point.append(-1)
-        else:
-            raise InputError(f"{where}: bad coordinate {c!r}")
+        if type(c) is dict and set(c) == {"e"} and type(c["e"]) is int and c["e"] == i + 1:
+            point.append(BLANK)
+            continue
+        if type(c) is dict and set(c) == {"g"}:
+            c = c["g"]
+        if type(c) is not int or not 0 <= c < value_size:
+            raise InputError(f"{where}: bad coordinate {c!r} at position {i + 1}")
+        point.append(c)
     return tuple(point)
 
 
 def representation_from_doc(doc: dict) -> Representation:
+    """Parts as written by representation_to_doc: an extended universe
+    takes values in the carrier, a base universe holds every tuple."""
     where = "representation file"
-    if not isinstance(doc, dict):
-        raise InputError(f"{where}: document must be an object")
-    if _require(doc, "format", where) != REPRESENTATION_FORMAT:
-        raise InputError(f"{where}: format must be {REPRESENTATION_FORMAT!r}")
+    _object(doc, REPRESENTATION_FORMAT, where)
     _reject_unknown(doc, {"format", "size", "parts"}, where)
-    size = _require(doc, "size", where)
+    size = _int(doc, "size", where)
     parts = []
-    for k, raw in enumerate(_require(doc, "parts", where)):
+    for k, raw in enumerate(_list(doc, "parts", where)):
         spot = f"{where}: parts[{k}]"
-        _reject_unknown(raw, {"kind", "n", "value_size", "points", "labels",
-                              "assignment"}, spot)
+        _reject_unknown(_object(raw, None, spot), {"kind", "n", "value_size", "points",
+                                                   "labels", "assignment"}, spot)
         kind = _require(raw, "kind", spot)
         if kind not in ("extended", "base"):
             raise InputError(f"{spot}: kind must be extended or base")
-        n = _require(raw, "n", spot)
-        value_size = _require(raw, "value_size", spot)
-        points = [_point_from_json(c, n, spot) for c in _require(raw, "points", spot)]
-        universe = Universe(n, value_size, points, kind,
-                            has_all_tuples=_covers_all_tuples(points, n, value_size))
-        rows = _require(raw, "assignment", spot)
-        if len(rows) != size:
-            raise InputError(f"{spot}: assignment has {len(rows)} rows, expected {size}")
-        for row in rows:
-            if len(row) != len(points):
-                raise InputError(f"{spot}: assignment row width mismatch")
-        assign = np.array(
-            [[-1 if v is None else int(v) for v in row] for row in rows],
-            dtype=np.int64).reshape(size, len(points))
-        if ((assign < -1) | (assign >= value_size)).any():
-            raise InputError(f"{spot}: assignment value out of range")
-        parts.append(ReprPart(universe, assign, tuple(raw.get("labels", ()))))
+        n = _arity(raw, spot)
+        value_size = _int(raw, "value_size", spot, 1)
+        if kind == "extended" and value_size != size:
+            raise InputError(f"{spot}: value_size must equal size")
+        points = [_point_from_json(c, n, value_size, spot)
+                  for c in _list(raw, "points", spot)]
+        rows = _list(raw, "assignment", spot)
+        if not points or len(rows) != size:
+            raise InputError(f"{spot}: needs points and {size} assignment rows")
+        assign = [_partial_row(row, len(points), value_size, spot) for row in rows]
+        labels = raw.get("labels", [])
+        if type(labels) is not list or any(type(label) is not str for label in labels):
+            raise InputError(f"{spot}: labels must be a list of strings")
+        covers = len({p for p in points if BLANK not in p}) == value_size**n
+        if kind == "base" and not covers:
+            raise InputError(f"{spot}: a base universe must hold every tuple")
+        universe = Universe(n, value_size, points, kind, has_all_tuples=covers)
+        assign = np.array(assign, dtype=np.int64).reshape(size, len(points))
+        parts.append(ReprPart(universe, assign, tuple(labels)))
     return Representation(size, tuple(parts))
-
-
-def _covers_all_tuples(points, n, value_size):
-    carrier = set()
-    for point in points:
-        if all(c >= 0 for c in point):
-            carrier.add(point)
-    return len(carrier) == value_size**n
 
 
 # -- file round trips -----------------------------------------------------
@@ -307,9 +289,9 @@ def load_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, over-long ints
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

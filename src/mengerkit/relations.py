@@ -16,9 +16,10 @@ v-negative quasi-order containing a given equivalence (or nothing).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .algebra import EMPTY, AbstractAlgebra, Violation
+import numpy as np
+
+from .algebra import EMPTY, AbstractAlgebra, Violation, _first, right_translations
 from .bitrel import BinRelation
 from .errors import InputError
 
@@ -31,103 +32,115 @@ def _check_sized(r: BinRelation, alg: AbstractAlgebra):
         raise InputError(f"relation size {r.size} does not match carrier {alg.size}")
 
 
+def _matrix(r: BinRelation) -> np.ndarray:
+    """r as an (m, m) bool array, rows by first coordinate."""
+    width = (r.size + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for row in r.rows)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(r.size, width)
+    return np.unpackbits(packed, axis=1, count=r.size, bitorder="little").view(bool)
+
+
+def _relation(matrix: np.ndarray) -> BinRelation:
+    """The relation of an (m, m) bool array."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return BinRelation(len(matrix), tuple(int.from_bytes(row.tobytes(), "little")
+                                          for row in packed))
+
+
+def _translated_violation(r: BinRelation, alg: AbstractAlgebra, related: bool,
+                          law: str, details: tuple[str, str]) -> Violation | None:
+    """First (x, y, translation) with x r y == related but t(x) r t(y) !=
+    related, over the pairs in row-major order and the translations in
+    table order; details are for slot and superposition translations."""
+    _check_sized(r, alg)
+    R = _matrix(r)
+    T, args = right_translations(alg)
+    held = R[T[:, None, :], T[None, :, :]]  # axes (x, y, column)
+    where = _first(R[:, :, None] > held if related else R[:, :, None] < held)
+    if where is None:
+        return None
+    x, y, column = where
+    slots = alg.arity * alg.size
+    if column < slots:
+        return Violation(f"{law}-slot:{column // alg.size + 1}",
+                         (x, y, column % alg.size), details[0])
+    return Violation(f"{law}-superposition",
+                     (x, y, tuple(int(z) for z in args[column - slots])), details[1])
+
+
 def is_zero_quasi_equivalence(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
     """Symmetric, and reflexive away from the zero: fully reflexive when
     the zero occurs as a first coordinate (or when there is no zero)."""
     _check_sized(r, alg)
-    for a in range(r.size):
-        for b in range(r.size):
-            if r.contains(a, b) and not r.contains(b, a):
-                return Violation("symmetry", (a, b), "pair present, flip missing")
+    for a, (row, flipped) in enumerate(zip(r.rows, r.transpose().rows)):
+        missing = row & ~flipped
+        if missing:
+            b = (missing & -missing).bit_length() - 1
+            return Violation("symmetry", (a, b), "pair present, flip missing")
     zero = alg.zero_element()
-    if zero is not None and not (r.pr1() >> zero & 1):
-        exempt = zero
-    else:
-        exempt = None
+    exempt = zero if zero is not None and not r.rows[zero] else None
     for g in range(r.size):
-        if g == exempt:
-            continue
-        if not r.contains(g, g):
+        if g != exempt and not r.contains(g, g):
             return Violation("reflexivity", (g,), "diagonal pair missing")
     return None
 
 
 def is_l_regular(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
     """Right-composing both sides of a related pair must preserve it."""
-    _check_sized(r, alg)
-    for x, y in r.pairs():
-        for slot in range(alg.arity):
-            table = alg.mann[slot]
-            for z in range(alg.size):
-                if not r.contains(table[x][z], table[y][z]):
-                    return Violation(f"l-regular-slot:{slot + 1}", (x, y, z),
-                                     "x r y but not x *i z r y *i z")
-        if alg.flavor == "menger":
-            for zs in product(range(alg.size), repeat=alg.arity):
-                if not r.contains(alg.sup_at(x, zs), alg.sup_at(y, zs)):
-                    return Violation("l-regular-superposition", (x, y, zs),
-                                     "x r y but not x[z..] r y[z..]")
-    return None
+    return _translated_violation(r, alg, True, "l-regular", (
+        "x r y but not x *i z r y *i z", "x r y but not x[z..] r y[z..]"))
 
 
 def is_l_cancellative(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
     """Related composites must come from related heads."""
-    _check_sized(r, alg)
-    m = alg.size
-    for x in range(m):
-        for y in range(m):
-            if r.contains(x, y):
-                continue
-            for slot in range(alg.arity):
-                table = alg.mann[slot]
-                for z in range(m):
-                    if r.contains(table[x][z], table[y][z]):
-                        return Violation(f"l-cancellative-slot:{slot + 1}", (x, y, z),
-                                         "x *i z r y *i z but not x r y")
-            if alg.flavor == "menger":
-                for zs in product(range(m), repeat=alg.arity):
-                    if r.contains(alg.sup_at(x, zs), alg.sup_at(y, zs)):
-                        return Violation("l-cancellative-superposition", (x, y, zs),
-                                         "x[z..] r y[z..] but not x r y")
-    return None
+    return _translated_violation(r, alg, False, "l-cancellative", (
+        "x *i z r y *i z but not x r y", "x[z..] r y[z..] but not x r y"))
 
 
 def is_v_negative(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
     """Every word result must sit below each of the word's slot occupants;
     menger flavor also places superposition results below each argument."""
     _check_sized(r, alg)
-    for state in alg.states().states:
-        for j, occupant in enumerate(state.slots):
-            if occupant == EMPTY:
-                continue
-            for x in range(alg.size):
-                if not r.contains(state.action[x], occupant):
-                    return Violation(
-                        "v-negative-word", (state.word, j + 1, x),
-                        "x . word not below the slot occupant")
-    if alg.flavor == "menger":
-        for x in range(alg.size):
-            for ys in product(range(alg.size), repeat=alg.arity):
-                v = alg.sup_at(x, ys)
-                for i, y in enumerate(ys):
-                    if not r.contains(v, y):
-                        return Violation("v-negative-superposition", (x, ys, i + 1),
-                                         "x[y..] not below y_i")
-    return None
+    if _least_v_negative(alg).issubset(r):
+        return None
+    # the first witness, in the order the clauses are stated
+    n, m = alg.arity, alg.size
+    R = _matrix(r)
+    space = alg.states()
+    # axes (state, slot, x); an untouched slot holds no occupant
+    below = R[space.actions[:, None, :], space.slots[:, :, None]]
+    where = _first(~below & (space.slots != EMPTY)[:, :, None])
+    if where is not None:
+        s, j, x = where
+        return Violation("v-negative-word", (space.states[s].word, j + 1, x),
+                         "x . word not below the slot occupant")
+    # so the missing pair is x[ys] below y_i, on menger flavor
+    T, args = right_translations(alg)
+    x, k, i = _first(~R[T[:, n * m :, None], args])  # axes (x, ys, i)
+    return Violation("v-negative-superposition", (x, tuple(int(y) for y in args[k]), i + 1),
+                     "x[y..] not below y_i")
 
 
-def _one_step_translation_maps(alg: AbstractAlgebra) -> list[tuple[int, ...]]:
-    m = alg.size
-    result = set()
-    for a in range(m):
-        for slot in range(alg.arity):
-            for rest in product(range(m), repeat=alg.arity - 1):
-                entry = tuple(
-                    alg.sup_at(a, rest[:slot] + (x,) + rest[slot:])
-                    for x in range(m)
-                )
-                result.add(entry)
-    return sorted(result)
+def _word_pairs(alg: AbstractAlgebra) -> np.ndarray:
+    """(m, m) bool array: each word result paired with each occupant."""
+    space = alg.states()
+    pairs = np.zeros((alg.size, alg.size), dtype=bool)
+    s, j = np.nonzero(space.slots != EMPTY)
+    pairs[space.actions[s], space.slots[s, j][:, None]] = True
+    return pairs
+
+
+def _least_v_negative(alg: AbstractAlgebra) -> BinRelation:
+    """Word results below occupants and, on menger flavor, x[ys] below
+    each y_i: a relation is v-negative exactly when it contains these."""
+    def compute():
+        below = _word_pairs(alg)
+        if alg.flavor == "menger":
+            T, args = right_translations(alg)
+            below[T[:, alg.arity * alg.size :][:, :, None], args] = True
+        return _relation(below)
+
+    return alg.derived("v-negative", compute)
 
 
 def seed_relations(alg: AbstractAlgebra, as_plain: bool = False):
@@ -144,31 +157,18 @@ def seed_relations(alg: AbstractAlgebra, as_plain: bool = False):
 
 
 def _seed_relations(alg: AbstractAlgebra, plain: bool):
-    m = alg.size
-
-    comp_pairs = set()
-    for state in alg.states().states:
-        for occupant in state.slots:
-            if occupant == EMPTY:
-                continue
-            for x in range(m):
-                comp_pairs.add((state.action[x], occupant))
-    if not plain:
-        for u, v in list(comp_pairs):
-            for zs in product(range(m), repeat=alg.arity):
-                comp_pairs.add((alg.sup_at(u, zs), alg.sup_at(v, zs)))
-    comp = BinRelation.from_pairs(m, comp_pairs)
-
-    trans = None
-    if not plain:
-        one_step = BinRelation.from_pairs(
-            m,
-            ((x, step[x]) for step in _one_step_translation_maps(alg)
-             for x in range(m)),
-        )
-        reach = one_step.reflexive_closure().transitive_closure()
-        trans = reach.transpose()
-    return trans, comp
+    comp = _word_pairs(alg)
+    if plain:
+        return None, _relation(comp)
+    T, args = right_translations(alg)
+    results = T[:, alg.arity * alg.size :]  # results[a, k] = a[args[k]]
+    u, v = np.nonzero(comp)
+    comp[results[u], results[v]] = True  # a common superposition suffix
+    # one-step wrappings: each argument x of a[args[k]] goes to a[args[k]]
+    one_step = np.zeros_like(comp)
+    one_step[args, results[:, :, None]] = True
+    reach = _relation(one_step).reflexive_closure().transitive_closure()
+    return reach.transpose(), _relation(comp)
 
 
 def _one_step_relation(alg: AbstractAlgebra, kind: str,

@@ -29,10 +29,17 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import EMPTY, AbstractAlgebra, Violation, WordState, apply_word, slot_occupants
+from .algebra import (
+    EMPTY,
+    AbstractAlgebra,
+    Violation,
+    WordState,
+    _word_superposition_mismatch,
+    slot_occupants_generic,
+)
 from .bitrel import BinRelation
 from .errors import InputError
-from .relations import is_l_regular, is_v_negative
+from .relations import _relation, is_l_regular, is_v_negative
 
 BLANK = EMPTY  # placeholder coordinate, only valid at its own slot
 
@@ -57,25 +64,18 @@ class Universe:
         self.states = states or {}
         self.values = values  # (carrier, points) array for extended universes
         self.has_all_tuples = has_all_tuples
-        count = len(self.points)
-        subst = np.full((count, n, value_size), -1, dtype=np.int64)
-        for idx, point in enumerate(self.points):
-            for slot in range(n):
-                for v in range(value_size):
-                    landed = self.index.get(point[:slot] + (v,) + point[slot + 1 :])
-                    if landed is not None:
-                        subst[idx, slot, v] = landed
-        self.subst = subst
+        # subst[p, slot, v]: the point p with coordinate slot set to v, or -1
+        self.subst = np.array([[[self.index.get(p[:slot] + (v,) + p[slot + 1 :], -1)
+                                 for v in range(value_size)] for slot in range(n)]
+                               for p in self.points], dtype=np.int64
+                              ).reshape(len(self.points), n, value_size)
         self.all_index = None
         if has_all_tuples:
-            all_index = np.full((value_size,) * n, -1, dtype=np.int64)
-            for coords in product(range(value_size), repeat=n):
-                idx = self.index.get(coords)
-                if idx is not None:
-                    all_index[coords] = idx
+            all_index = np.array([self.index.get(c, -1) for c in
+                                  product(range(value_size), repeat=n)], dtype=np.int64)
             if (all_index < 0).any():
                 raise InputError("universe is missing all-tuple points")
-            self.all_index = all_index
+            self.all_index = all_index.reshape((value_size,) * n)
 
     def __len__(self):
         return len(self.points)
@@ -101,41 +101,23 @@ def _build_universe(alg: AbstractAlgebra) -> Universe:
                 "algebra fails the representability implication; "
                 f"occupants {slots} reached with two actions")
 
-    points: list[tuple[int, ...]] = []
+    # on menger flavor the carrier points come first, and a slot-complete
+    # state collapses into its carrier point, whose values must agree
+    points, blocks, own = [], [], np.arange(len(space.states))
     if not bullet:
-        points.extend(product(range(m), repeat=n))
-    seen = set(points)
-    states: dict[int, WordState] = {}
-    pending: dict[tuple[int, ...], WordState] = {}
-    for state in space.states:
-        if state.slots in seen:
-            pending.setdefault(state.slots, state)
-            continue
-        seen.add(state.slots)
-        points.append(state.slots)
-        pending[state.slots] = state
-    blank = (BLANK,) * n
-    points.append(blank)
-
-    values = np.full((m, len(points)), -1, dtype=np.int64)
+        found = _word_superposition_mismatch(alg, space)
+        if found is not None:
+            s, g = found
+            raise InputError(f"value routes disagree at point "
+                             f"{space.states[s].slots} for element {g}")
+        points = list(product(range(m), repeat=n))
+        blocks = [alg.superposition.reshape(m, m**n)]
+        own = np.flatnonzero((space.slots == EMPTY).any(axis=1))
+    points += [space.states[s].slots for s in own] + [(BLANK,) * n]
+    values = np.concatenate(blocks + [space.actions[own].T, np.arange(m)[:, None]],
+                            axis=1)
     index = {p: i for i, p in enumerate(points)}
-    for point, state in pending.items():
-        states[index[point]] = state
-    for idx, point in enumerate(points):
-        state = states.get(idx)
-        if point == blank:
-            values[:, idx] = np.arange(m)
-        elif state is not None:
-            if not bullet and BLANK not in point:
-                # collapsed point: word route and superposition route must agree
-                for g in range(m):
-                    if alg.sup_at(g, point) != state.action[g]:
-                        raise InputError(
-                            f"value routes disagree at point {point} for element {g}")
-            values[:, idx] = state.action
-        else:
-            for g in range(m):
-                values[g, idx] = alg.sup_at(g, point)
+    states = {index[state.slots]: state for state in space.states}
 
     _cross_witness_check(alg, states)
     return Universe(n, m, points, "extended", states=states, values=values,
@@ -145,16 +127,21 @@ def _build_universe(alg: AbstractAlgebra) -> Universe:
 def _cross_witness_check(alg: AbstractAlgebra, states: dict[int, WordState]):
     """Re-derive point values from the alternative witness word whenever
     one was recorded; both routes must agree for every element."""
+    mann = alg.mann.tolist()  # Python ints index faster than array scalars
     for state in states.values():
         for word in (state.word, state.alt_word):
             if word is None:
                 continue
-            if slot_occupants(alg, word) != state.slots:
+            occupants = slot_occupants_generic(
+                word, alg.arity, lambda v, slot, y: mann[slot][v][y])
+            if occupants != state.slots:
                 raise InputError(f"witness word {word} does not reach {state.slots}")
-            for g in range(alg.size):
-                if apply_word(alg, g, word) != state.action[g]:
-                    raise InputError(
-                        f"witness word {word} disagrees with the recorded action")
+            action = range(alg.size)
+            for slot, y in word:
+                action = [mann[slot][v][y] for v in action]
+            if tuple(action) != state.action:
+                raise InputError(
+                    f"witness word {word} disagrees with the recorded action")
 
 
 class ReprPart:
@@ -174,8 +161,7 @@ class ReprPart:
             dom = self.domains()
             inside = ~np.any(dom[:, None, :] & ~dom[None, :, :], axis=2)
             overlap = np.any(dom[:, None, :] & dom[None, :, :], axis=2)
-            chi = BinRelation.from_matrix(inside.astype(int).tolist())
-            gamma = BinRelation.from_matrix(overlap.astype(int).tolist())
+            chi, gamma = _relation(inside), _relation(overlap)
             self._relations = (chi, gamma, chi & chi.transpose())
         return self._relations
 
@@ -338,10 +324,8 @@ def verify_homomorphism(rep: Representation, alg: AbstractAlgebra) -> Violation 
     """
     if rep.size != alg.size:
         raise InputError("representation carrier does not match algebra")
-    mann = [np.asarray(table, dtype=np.intp) for table in alg.mann]
-    sup = alg.sup_array() if alg.flavor == "menger" else None
     for part in rep.parts:
-        violation = _verify_part(part, mann, sup)
+        violation = _verify_part(part, alg.mann, alg.superposition)
         if violation is not None:
             return violation
     return None

@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the library against.
 
-Each one computes its answer a second way, by a direct formula or a
+Each one computes its answer a second way: by a direct formula or a
 fixpoint over explicit maps, so that it does not share the library's
-state search or relation reachability.
+state search or relation reachability, or, for the array kernels, by
+the loop over every instantiation that the kernel replaced, reading
+nested-list copies of the tables one cell at a time.
 """
 
 from __future__ import annotations
@@ -12,16 +14,35 @@ from itertools import product
 
 import numpy as np
 
-from mengerkit import EMPTY, CapacityError, InputError, Violation
-from mengerkit.relations import _one_step_translation_maps
+from mengerkit import EMPTY, BinRelation, CapacityError, InputError, Violation
 
 DEFAULT_TRANSLATION_CAP = 1_000_000
+
+
+def sup_at(alg, g, args) -> int:
+    """The superposition g[args] as a Python int."""
+    return int(alg.superposition[(g, *args)])
+
+
+class Tables:
+    """Nested-list copies of an algebra's tables, read cell by cell."""
+
+    def __init__(self, alg):
+        self.mann = alg.mann.tolist()
+        self.sup = None if alg.superposition is None else alg.superposition.tolist()
+
+    def sup_at(self, g, args) -> int:
+        node = self.sup[g]
+        for a in args:
+            node = node[a]
+        return node
 
 
 def slot_occupants_by_first_use(alg, word) -> tuple[int, ...]:
     """Occupants via the first-occurrence formula: the element of the first
     step touching slot i, composed with every later step.  Cross-check
     oracle for :func:`mengerkit.slot_occupants`."""
+    mann = alg.mann.tolist()
     occ = [EMPTY] * alg.arity
     for i in range(alg.arity):
         first = None
@@ -33,7 +54,7 @@ def slot_occupants_by_first_use(alg, word) -> tuple[int, ...]:
             continue
         value = word[first][1]
         for slot, y in word[first + 1 :]:
-            value = alg.mann[slot][value][y]
+            value = mann[slot][value][y]
         occ[i] = value
     return tuple(occ)
 
@@ -52,7 +73,7 @@ def inner_translations(alg, cap: int = DEFAULT_TRANSLATION_CAP) -> TranslationSe
     if alg.flavor != "menger":
         raise InputError("inner translations require menger flavor")
     m = alg.size
-    one_step = _one_step_translation_maps(alg)
+    one_step = one_step_translation_maps(alg)
     identity = tuple(range(m))
     maps = {identity}
     frontier = [identity]
@@ -89,8 +110,7 @@ def _dense_part_violation(part, alg):
     m, count = A.shape
     point_ids = np.arange(count)
     for slot in range(alg.arity):
-        table = np.asarray(alg.mann[slot], dtype=np.int64)
-        lhs = A[table]  # lhs[g1, g2, p] = assignment of g1 *slot g2
+        lhs = A[alg.mann[slot]]  # lhs[g1, g2, p] = assignment of g1 *slot g2
         inner = A  # inner[g2, p]
         subst_slot = universe.subst[:, slot, :]  # (points, values)
         landed = subst_slot[point_ids[None, :], np.clip(inner, 0, None)]
@@ -103,7 +123,7 @@ def _dense_part_violation(part, alg):
                 f"homomorphism-slot:{slot + 1}", (g1, g2, universe.points[p]),
                 "P(g1 *i g2) differs from P(g1) *i P(g2)")
     if alg.flavor == "menger" and universe.all_index is not None:
-        S = alg.sup_array()
+        S = alg.superposition
         n = alg.arity
         lhs = A[S]  # (m,)*(n+1) + (points,)
         clipped = np.clip(A, 0, None)
@@ -132,25 +152,164 @@ def mixed_law_violation_by_loops(alg):
     """The two mixed Menger laws by a loop over every instantiation, slot
     by slot.  Cross-check oracle for the array laws inside
     :func:`mengerkit.check_menger_identities`."""
-    m = alg.size
+    m, t = alg.size, Tables(alg)
     for slot in range(alg.arity):
-        table = alg.mann[slot]
+        table = t.mann[slot]
         for x in range(m):
             for y in range(m):
                 xy = table[x][y]
                 for zs in product(range(m), repeat=alg.arity):
-                    mixed = zs[:slot] + (alg.sup_at(y, zs),) + zs[slot + 1 :]
-                    if alg.sup_at(xy, zs) != alg.sup_at(x, mixed):
+                    mixed = zs[:slot] + (t.sup_at(y, zs),) + zs[slot + 1 :]
+                    if t.sup_at(xy, zs) != t.sup_at(x, mixed):
                         return Violation(
                             f"slot-into-superposition:{slot + 1}", (x, y, zs),
                             "(x *i y)[z..] != x[z.. y[z..] ..z]")
         for x in range(m):
             for ys in product(range(m), repeat=alg.arity):
-                head = alg.sup_at(x, ys)
+                head = t.sup_at(x, ys)
                 for z in range(m):
                     shifted = tuple(table[yk][z] for yk in ys)
-                    if table[head][z] != alg.sup_at(x, shifted):
+                    if table[head][z] != t.sup_at(x, shifted):
                         return Violation(
                             f"superposition-into-slot:{slot + 1}", (x, ys, z),
                             "x[y..] *i z != x[y1 *i z .. yn *i z]")
     return None
+
+
+# -- loop versions of the array predicates, laws and seeds ------------------
+# Each keeps the enumeration order of its library counterpart, so the two
+# must return the same first witness.
+
+
+def associativity_by_loops(alg):
+    m, t = alg.size, Tables(alg)
+    for slot in range(alg.arity):
+        table = t.mann[slot]
+        for x in range(m):
+            for y in range(m):
+                xy = table[x][y]
+                for z in range(m):
+                    if table[xy][z] != table[x][table[y][z]]:
+                        return Violation(f"associativity:{slot + 1}", (x, y, z),
+                                         f"(x *{slot + 1} y) *{slot + 1} z != "
+                                         f"x *{slot + 1} (y *{slot + 1} z)")
+    return None
+
+
+def zero_law_violation_by_loops(alg, z):
+    m, t = alg.size, Tables(alg)
+    for slot in range(alg.arity):
+        table = t.mann[slot]
+        for g in range(m):
+            if table[z][g] != z:
+                return Violation(f"zero-left:{slot + 1}", (z, g), "0 *i g != 0")
+            if table[g][z] != z:
+                return Violation(f"zero-right:{slot + 1}", (g, z), "g *i 0 != 0")
+    if alg.flavor == "menger":
+        for args in product(range(m), repeat=alg.arity):
+            if t.sup_at(z, args) != z:
+                return Violation("zero-superposition-head", (z, args), "0[g..] != 0")
+        for g in range(m):
+            for slot in range(alg.arity):
+                for rest in product(range(m), repeat=alg.arity - 1):
+                    args = rest[:slot] + (z,) + rest[slot:]
+                    if t.sup_at(g, args) != z:
+                        return Violation("zero-superposition-arg", (g, slot + 1, args),
+                                         "g[.. 0 ..] != 0")
+    return None
+
+
+def l_regular_by_loops(r, alg):
+    t = Tables(alg)
+    for x, y in r.pairs():
+        for slot in range(alg.arity):
+            table = t.mann[slot]
+            for z in range(alg.size):
+                if not r.contains(table[x][z], table[y][z]):
+                    return Violation(f"l-regular-slot:{slot + 1}", (x, y, z),
+                                     "x r y but not x *i z r y *i z")
+        if alg.flavor == "menger":
+            for zs in product(range(alg.size), repeat=alg.arity):
+                if not r.contains(t.sup_at(x, zs), t.sup_at(y, zs)):
+                    return Violation("l-regular-superposition", (x, y, zs),
+                                     "x r y but not x[z..] r y[z..]")
+    return None
+
+
+def l_cancellative_by_loops(r, alg):
+    m, t = alg.size, Tables(alg)
+    for x in range(m):
+        for y in range(m):
+            if r.contains(x, y):
+                continue
+            for slot in range(alg.arity):
+                table = t.mann[slot]
+                for z in range(m):
+                    if r.contains(table[x][z], table[y][z]):
+                        return Violation(f"l-cancellative-slot:{slot + 1}", (x, y, z),
+                                         "x *i z r y *i z but not x r y")
+            if alg.flavor == "menger":
+                for zs in product(range(m), repeat=alg.arity):
+                    if r.contains(t.sup_at(x, zs), t.sup_at(y, zs)):
+                        return Violation("l-cancellative-superposition", (x, y, zs),
+                                         "x[z..] r y[z..] but not x r y")
+    return None
+
+
+def v_negative_by_loops(r, alg):
+    t = Tables(alg)
+    for state in alg.states().states:
+        for j, occupant in enumerate(state.slots):
+            if occupant == EMPTY:
+                continue
+            for x in range(alg.size):
+                if not r.contains(state.action[x], occupant):
+                    return Violation(
+                        "v-negative-word", (state.word, j + 1, x),
+                        "x . word not below the slot occupant")
+    if alg.flavor == "menger":
+        for x in range(alg.size):
+            for ys in product(range(alg.size), repeat=alg.arity):
+                v = t.sup_at(x, ys)
+                for i, y in enumerate(ys):
+                    if not r.contains(v, y):
+                        return Violation("v-negative-superposition", (x, ys, i + 1),
+                                         "x[y..] not below y_i")
+    return None
+
+
+def one_step_translation_maps(alg):
+    """Every map x -> a[.. x ..] with x in one slot, sorted."""
+    m, t = alg.size, Tables(alg)
+    result = set()
+    for a in range(m):
+        for slot in range(alg.arity):
+            for rest in product(range(m), repeat=alg.arity - 1):
+                result.add(tuple(t.sup_at(a, rest[:slot] + (x,) + rest[slot:])
+                                 for x in range(m)))
+    return sorted(result)
+
+
+def seed_relations_by_loops(alg, plain):
+    """(translation quasi-order or None, composite-component relation) by
+    explicit pair sets over the kept states and the one-step maps."""
+    m, t = alg.size, Tables(alg)
+    comp_pairs = set()
+    for state in alg.states().states:
+        for occupant in state.slots:
+            if occupant == EMPTY:
+                continue
+            for x in range(m):
+                comp_pairs.add((state.action[x], occupant))
+    if not plain:
+        for u, v in list(comp_pairs):
+            for zs in product(range(m), repeat=alg.arity):
+                comp_pairs.add((t.sup_at(u, zs), t.sup_at(v, zs)))
+    comp = BinRelation.from_pairs(m, comp_pairs)
+    trans = None
+    if not plain:
+        one_step = BinRelation.from_pairs(
+            m, ((x, step[x]) for step in one_step_translation_maps(alg)
+                for x in range(m)))
+        trans = one_step.reflexive_closure().transitive_closure().transpose()
+    return trans, comp

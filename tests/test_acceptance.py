@@ -44,6 +44,8 @@ from mengerkit import (
     word_system_crosscheck,
 )
 
+from oracles import sup_at
+
 MENGER_TARGET_IDS = {"T1", "T1a", "T2", "T4", "T5", "T6", "T8"}
 PLAIN_TARGET_IDS = {"T1", "T1a", "T11", "T4", "T5", "T6", "T12"}
 
@@ -258,22 +260,22 @@ def brute_menger_scan(alg):
     m, n = alg.size, alg.arity
     for combo in product(range(m), repeat=2 * n + 1):
         x0, xs, ys = combo[0], combo[1 : n + 1], combo[n + 1 :]
-        lhs = alg.sup_at(alg.sup_at(x0, xs), ys)
-        rhs = alg.sup_at(x0, tuple(alg.sup_at(x, ys) for x in xs))
+        lhs = sup_at(alg, sup_at(alg, x0, xs), ys)
+        rhs = sup_at(alg, x0, tuple(sup_at(alg, x, ys) for x in xs))
         if lhs != rhs:
             return ("superassociativity", combo)
     for slot in range(n):
         for x in range(m):
             for y in range(m):
                 for zs in product(range(m), repeat=n):
-                    mixed = zs[:slot] + (alg.sup_at(y, zs),) + zs[slot + 1 :]
-                    if alg.sup_at(alg.mann[slot][x][y], zs) != alg.sup_at(x, mixed):
+                    mixed = zs[:slot] + (sup_at(alg, y, zs),) + zs[slot + 1 :]
+                    if sup_at(alg, alg.mann[slot][x][y], zs) != sup_at(alg, x, mixed):
                         return ("slot-into-superposition", (slot, x, y, zs))
         for x in range(m):
             for ys in product(range(m), repeat=n):
                 for z in range(m):
                     shifted = tuple(alg.mann[slot][yk][z] for yk in ys)
-                    if alg.mann[slot][alg.sup_at(x, ys)][z] != alg.sup_at(x, shifted):
+                    if alg.mann[slot][sup_at(alg, x, ys)][z] != sup_at(alg, x, shifted):
                         return ("superposition-into-slot", (slot, x, ys, z))
     steps = [(s, y) for s in range(n) for y in range(m)]
     words = [()]
@@ -284,7 +286,7 @@ def brute_menger_scan(alg):
             if EMPTY in occ:
                 continue
             for x in range(m):
-                if apply_word(alg, x, word) != alg.sup_at(x, occ):
+                if apply_word(alg, x, word) != sup_at(alg, x, occ):
                     return ("word-superposition", (word, x))
     return None
 
@@ -293,23 +295,23 @@ def verify_identity_witness(alg, violation):
     law, witness = violation.law, violation.witness
     if law == "superassociativity":
         xs, ys = witness
-        lhs = alg.sup_at(alg.sup_at(xs[0], xs[1:]), ys)
-        rhs = alg.sup_at(xs[0], tuple(alg.sup_at(x, ys) for x in xs[1:]))
+        lhs = sup_at(alg, sup_at(alg, xs[0], xs[1:]), ys)
+        rhs = sup_at(alg, xs[0], tuple(sup_at(alg, x, ys) for x in xs[1:]))
         return lhs != rhs
     if law.startswith("slot-into-superposition"):
         slot = int(law.split(":")[1]) - 1
         x, y, zs = witness
-        mixed = zs[:slot] + (alg.sup_at(y, zs),) + zs[slot + 1 :]
-        return alg.sup_at(alg.mann[slot][x][y], zs) != alg.sup_at(x, mixed)
+        mixed = zs[:slot] + (sup_at(alg, y, zs),) + zs[slot + 1 :]
+        return sup_at(alg, alg.mann[slot][x][y], zs) != sup_at(alg, x, mixed)
     if law.startswith("superposition-into-slot"):
         slot = int(law.split(":")[1]) - 1
         x, ys, z = witness
         shifted = tuple(alg.mann[slot][yk][z] for yk in ys)
-        return alg.mann[slot][alg.sup_at(x, ys)][z] != alg.sup_at(x, shifted)
+        return alg.mann[slot][sup_at(alg, x, ys)][z] != sup_at(alg, x, shifted)
     if law == "word-superposition":
         word, x = witness
         occ = slot_occupants(alg, word)
-        return apply_word(alg, x, word) != alg.sup_at(x, occ)
+        return apply_word(alg, x, word) != sup_at(alg, x, occ)
     return False
 
 
@@ -326,7 +328,7 @@ def test_criterion_9a_perturbed_tables_flagged(zero_proj, menger_battery):
         for head, *args in cells:
             for delta in range(1, m):
                 sup = [
-                    [[alg.sup_at(g, (a, b)) for b in range(m)] for a in range(m)]
+                    [[sup_at(alg, g, (a, b)) for b in range(m)] for a in range(m)]
                     for g in range(m)
                 ]
                 args_t = tuple(args)

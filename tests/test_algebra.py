@@ -265,8 +265,7 @@ def test_menger_identities_require_menger(zero_proj_plain):
 
 def test_perturbed_superposition_is_flagged(zero_proj):
     # flip the one superposition cell that makes the tables a function algebra
-    sup = [[[cell for cell in row] for row in plane]
-           for plane in zero_proj.superposition]
+    sup = zero_proj.superposition.tolist()
     sup[1][1][1] = 0
     alg = AbstractAlgebra(2, 2, zero_proj.mann, sup, None, "menger")
     violation = check_menger_identities(alg)
@@ -309,10 +308,10 @@ def test_zero_is_unique(menger_battery):
 def test_abstraction_of_zero_proj(zero_proj):
     assert zero_proj.size == 2
     assert zero_proj.zero == 0
-    assert zero_proj.mann[0] == ((0, 0), (0, 1))
-    assert zero_proj.mann[1] == ((0, 0), (0, 1))
-    assert zero_proj.sup_at(1, (1, 1)) == 1
-    assert zero_proj.sup_at(1, (1, 0)) == 0
+    assert zero_proj.mann[0].tolist() == [[0, 0], [0, 1]]
+    assert zero_proj.mann[1].tolist() == [[0, 0], [0, 1]]
+    assert zero_proj.superposition[1, 1, 1] == 1
+    assert zero_proj.superposition[1, 1, 0] == 0
 
 
 def test_abstraction_of_single_projection(one_elem):

@@ -181,3 +181,57 @@ def test_boolean_table_entries_rejected(zero_proj_concrete):
     doc["functions"][1][0] = True
     with pytest.raises(InputError):
         algebra_from_doc(doc)
+
+
+# -- strict representation loader ---------------------------------------------
+
+
+def blank_point_representation(**changes):
+    """A one-element representation over the blank point alone, with the
+    given fields replaced (``parts`` and ``size`` at the top, the rest in
+    the part)."""
+    part = {"kind": "extended", "n": 1, "value_size": 1, "points": [[{"e": 1}]],
+            "labels": [], "assignment": [[0]]}
+    doc = {"format": "mengerkit-representation-v1", "size": 1, "parts": [part]}
+    for name, value in changes.items():
+        (doc if name in ("parts", "size") else part)[name] = value
+    return doc
+
+
+def test_blank_point_representation_loads():
+    rep = representation_from_doc(blank_point_representation())
+    assert rep.size == 1 and rep.parts[0].universe.points == ((-1,),)
+
+
+def test_representation_parts_must_be_a_list():
+    with pytest.raises(InputError):
+        representation_from_doc(blank_point_representation(parts=5))
+
+
+def test_representation_part_must_be_an_object():
+    with pytest.raises(InputError):
+        representation_from_doc(blank_point_representation(parts=[5]))
+
+
+def test_representation_points_must_be_a_list():
+    with pytest.raises(InputError):
+        representation_from_doc(blank_point_representation(points=5))
+
+
+def test_representation_assignment_values_must_be_integers():
+    with pytest.raises(InputError):
+        representation_from_doc(blank_point_representation(assignment=[["x"]]))
+
+
+def test_representation_size_must_be_an_integer():
+    with pytest.raises(InputError):
+        representation_from_doc(blank_point_representation(size="1", parts=[]))
+
+
+def test_representation_boolean_coordinate_rejected():
+    doc = blank_point_representation(size=2, value_size=2, points=[[True]],
+                                     assignment=[[0], [1]])
+    with pytest.raises(InputError):
+        representation_from_doc(doc)
+    doc["parts"][0]["points"] = [[1]]
+    assert representation_from_doc(doc).parts[0].universe.points == ((1,),)

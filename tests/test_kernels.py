@@ -1,6 +1,7 @@
-"""The array kernels of the homomorphism check and the mixed Menger laws
-against the dense and loop implementations kept in ``oracles``: both must
-return the same Violation, witness included, not only the same verdict."""
+"""The array kernels (homomorphism check, Menger and semigroup laws, zero
+laws, relation predicates, seed relations) against the dense and loop
+implementations kept in ``oracles``: both must return the same Violation,
+witness included, not only the same verdict."""
 
 import tracemalloc
 
@@ -9,23 +10,39 @@ import pytest
 
 from mengerkit import (
     AbstractAlgebra,
+    BinRelation,
     GeneratorConfig,
     Representation,
     Target,
     abstract_from_concrete,
+    check_associativity,
+    check_menger_identities,
     domain_relations,
     generate_concrete,
     identity_representation,
+    is_l_cancellative,
+    is_l_regular,
+    is_v_negative,
     roundtrip,
     sum_over_pairs,
     verify_homomorphism,
 )
 from mengerkit import represent
-from mengerkit.algebra import _mixed_law_violation
+from mengerkit.algebra import _mixed_law_violation, _zero_law_violation
+from mengerkit.relations import _least_v_negative, _seed_relations
 from mengerkit.represent import ReprPart
 from mengerkit.theorems import TARGET_KINDS
 
-from oracles import dense_homomorphism_violation, mixed_law_violation_by_loops
+from oracles import (
+    associativity_by_loops,
+    dense_homomorphism_violation,
+    l_cancellative_by_loops,
+    l_regular_by_loops,
+    mixed_law_violation_by_loops,
+    seed_relations_by_loops,
+    v_negative_by_loops,
+    zero_law_violation_by_loops,
+)
 
 
 def corrupted(rep, k, g, p):
@@ -130,7 +147,7 @@ def test_perturbed_tables_match_oracles(m18, monkeypatch):
         with monkeypatch.context() as patch:
             single_row_blocks(patch)
             assert verify_homomorphism(rep, pert) == hom
-        laws = _mixed_law_violation(pert, pert.sup_array())
+        laws = _mixed_law_violation(pert)
         assert laws == mixed_law_violation_by_loops(pert)
         hom_flagged += hom is not None
         laws_flagged += laws is not None
@@ -146,7 +163,7 @@ def test_superposition_into_slot_matches_loops(m18):
         const = AbstractAlgebra(2, m, alg.mann, [[[c] * m] * m] * m, flavor="menger")
         expected = mixed_law_violation_by_loops(const)
         assert expected.law == "superposition-into-slot:1"
-        assert _mixed_law_violation(const, const.sup_array()) == expected
+        assert _mixed_law_violation(const) == expected
 
 
 def test_homomorphism_check_memory_is_bounded():
@@ -165,3 +182,121 @@ def test_homomorphism_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # measured 3.8 MB; the whole-part arrays took 163.5 MB
+
+
+# -- predicates, laws and seeds against their loop versions -----------------
+
+PREDICATES = ((is_l_regular, l_regular_by_loops),
+              (is_l_cancellative, l_cancellative_by_loops),
+              (is_v_negative, v_negative_by_loops))
+
+
+def relation_cases(alg, conc, rng, count=4):
+    """The realized chi, gamma and pi (when a concrete origin is given),
+    the diagonal and the full relation, count seeded random ones, and the
+    least v-negative relation with one seeded pair taken out."""
+    m = alg.size
+    cases = list(domain_relations(conc)) if conc is not None else []
+    cases += [BinRelation.diagonal(m), BinRelation.full(m)]
+    for _ in range(count):
+        matrix = rng.random((m, m)) < rng.uniform(0.3, 0.95)
+        cases.append(BinRelation.from_matrix(matrix.astype(int).tolist()))
+    least = list(_least_v_negative(alg).pairs())
+    a, b = least[rng.integers(len(least))]
+    cases.append(BinRelation.from_pairs(m, [p for p in least if p != (a, b)]))
+    cases.append(seed_relations_by_loops(alg, True)[1])  # word results, occupants
+    cases += [BinRelation.from_pairs(m, [tuple(rng.integers(m, size=2).tolist())])
+              for _ in range(2)]
+    return cases
+
+
+def assert_kernels_match_loops(alg, relations, seen):
+    """Every predicate on every relation, the laws and every zero candidate,
+    and the seed relations: identical results, witnesses included."""
+    for r in relations:
+        for ours, loops in PREDICATES:
+            violation = ours(r, alg)
+            assert violation == loops(r, alg), (ours.__name__, r)
+            seen.add((ours.__name__, None if violation is None else violation.law))
+    violation = check_associativity(alg)
+    assert violation == associativity_by_loops(alg)
+    seen.add(("associativity", None if violation is None else violation.law))
+    for z in range(alg.size):
+        violation = _zero_law_violation(alg, z)
+        assert violation == zero_law_violation_by_loops(alg, z)
+        seen.add(("zero", None if violation is None else violation.law.split(":")[0]))
+    for plain in {True, alg.flavor == "plain"}:
+        assert _seed_relations(alg, plain) == seed_relations_by_loops(alg, plain)
+
+
+def test_battery_kernels_match_loops(menger_battery, plain_battery):
+    rng = np.random.default_rng(6)
+    seen = set()
+    for conc in menger_battery[:40] + plain_battery[:30]:
+        alg = abstract_from_concrete(conc)
+        assert_kernels_match_loops(alg, relation_cases(alg, conc, rng), seen)
+    # both verdicts and every law family occurred
+    for name in ("is_l_regular", "is_l_cancellative", "is_v_negative"):
+        assert (name, None) in seen and len({law for n, law in seen if n == name}) >= 2
+    assert {("zero", None), ("zero", "zero-left"), ("zero", "zero-right")} <= seen
+
+
+def test_m18_kernels_match_loops(m18):
+    alg, _ = m18
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3,
+                                             generator_count=1, seed=8))
+    seen = set()
+    assert_kernels_match_loops(alg, relation_cases(alg, conc, np.random.default_rng(18)),
+                               seen)
+    assert ("is_l_regular", None) in seen and ("is_v_negative", None) in seen
+
+
+def test_perturbed_tables_kernels_match_loops(m18, menger_battery):
+    # the seeded single-cell perturbations of the m18 tables, and of a few
+    # smaller battery algebras, so that laws and zero laws fail in many ways
+    alg, _ = m18
+    rng = np.random.default_rng(8)
+    seen = set()
+    sources = [alg] + [abstract_from_concrete(c) for c in menger_battery
+                       if 3 <= len(c) <= 6][:10]
+    for source in sources:
+        perts = [perturbed(source, rng) for _ in range(2 if source is alg else 4)]
+        if source.zero is not None:  # a superposition cell headed by the zero
+            sup = np.array(source.superposition)
+            sup[source.zero, 0, 0] = (source.zero + 1) % source.size
+            perts.append(AbstractAlgebra(2, source.size, source.mann, sup))
+        for pert in perts:
+            assert_kernels_match_loops(pert, relation_cases(pert, None, rng, 3), seen)
+    assert len({law for n, law in seen if n == "associativity"}) >= 2
+    assert {("zero", "zero-superposition-arg"), ("zero", "zero-superposition-head"),
+            ("is_v_negative", "v-negative-superposition"),
+            ("is_l_cancellative", "l-cancellative-superposition")} <= seen
+
+
+def test_tables_and_states_are_read_only(m18):
+    alg, _ = m18
+    space = alg.states()
+    for table in (alg.mann, alg.superposition, space.slots, space.actions):
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
+    # the algebra keeps its own copy of a caller's writable tables
+    mann, sup = np.array(alg.mann), np.array(alg.superposition)
+    copy = AbstractAlgebra(2, alg.size, mann, sup, flavor="menger")
+    mann[0, 0, 0] = sup[0, 0, 0] = (alg.mann[0, 0, 0] + 1) % alg.size
+    assert copy == alg
+
+
+def test_menger_identity_memory_is_bounded():
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
+                                             seed=56, closure_cap=26))
+    alg = abstract_from_concrete(conc)
+    assert alg.size == 23
+    tracemalloc.start()
+    try:
+        assert check_menger_identities(alg) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 8.7 MB; the whole S[S] array and its right side took 18.4 MB
+    # in uint8 and would take 8 times that in intp
+    assert peak < 12 * 2**20

@@ -20,7 +20,7 @@ from mengerkit import (
     slot_occupants,
 )
 from mengerkit.relations import _one_step_relation
-from oracles import inner_translations
+from oracles import inner_translations, sup_at
 
 
 def rel(size, pairs):
@@ -360,8 +360,8 @@ def literal_one_step(alg, pi, with_translations):
                         pairs.add((action[x], occ[k]))
                         if alg.flavor == "menger":
                             for zs in product(range(m), repeat=alg.arity):
-                                pairs.add((alg.sup_at(action[x], zs),
-                                           alg.sup_at(occ[k], zs)))
+                                pairs.add((sup_at(alg, action[x], zs),
+                                           sup_at(alg, occ[k], zs)))
         frontier = fresh
     comp = BinRelation.from_pairs(m, pairs).reflexive_closure()
     trans = BinRelation.from_pairs(m, trans_pairs)
