@@ -17,20 +17,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .tables import ConcreteAlgebra, mann_compose, superpose
+from .tables import MAX_ARITY, ConcreteAlgebra
 
 EMPTY = -1  # unoccupied slot marker; only valid at its own position
 
 DEFAULT_STATE_CAP = 2_000_000
-
-# superassociativity lays two argument tuples along 2n array axes, and
-# numpy arrays have at most 64
-MAX_ARITY = 32
 
 Word = tuple[tuple[int, int], ...]  # ((slot, element), ...), slots 0-based
 
@@ -440,30 +435,14 @@ def abstract_from_concrete(conc: ConcreteAlgebra) -> AbstractAlgebra:
     obeying the zero laws when one exists (the empty function whenever it
     is a member).
     """
-    funcs = conc.functions
-    n, m = conc.arity, len(funcs)
+    n, m = conc.arity, len(conc)
     if m == 0:
         raise InputError("cannot abstract an empty concrete algebra")
-    index = {f.entries: i for i, f in enumerate(funcs)}
-
-    def locate(table, label):
-        i = index.get(table.entries)
-        if i is None:
-            raise InputError(f"concrete algebra is not closed: {label} missing")
-        return i
-
-    mann = np.empty((n, m, m), dtype=np.intp)
-    for slot, i, j in product(range(n), range(m), range(m)):
-        mann[slot, i, j] = locate(mann_compose(funcs[i], funcs[j], slot),
-                                  f"f{i} *{slot + 1} f{j}")
-
-    superposition = None
-    if conc.flavor == "menger":
-        superposition = np.empty((m,) * (n + 1), dtype=np.intp)
-        for head, *chosen in product(range(m), repeat=n + 1):
-            label = f"f{head}[{' '.join('f%d' % c for c in chosen)}]"
-            superposition[(head, *chosen)] = locate(
-                superpose(funcs[head], [funcs[c] for c in chosen]), label)
+    indices, missing = conc.composite_indices()
+    if missing is not None:
+        raise InputError(f"concrete algebra is not closed: {missing[0]} missing")
+    mann, rest = indices[: n * m * m].reshape(n, m, m), indices[n * m * m :]
+    superposition = rest.reshape((m,) * (n + 1)) if conc.flavor == "menger" else None
 
     alg = AbstractAlgebra(n, m, mann, superposition, flavor=conc.flavor)
     zero = alg.zero_element()

@@ -10,7 +10,10 @@ to c when (a,b) is in r and (b,c) is in s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InputError
 
@@ -26,6 +29,10 @@ def _bits(mask: int):
 class BinRelation:
     size: int
     rows: tuple[int, ...]
+    # set on first use of ``matrix``; a field rather than a cached property,
+    # which would add an instance attribute and slow every ``rows`` read
+    _matrix: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         if len(self.rows) != self.size:
@@ -54,6 +61,7 @@ class BinRelation:
     def from_pairs(size: int, pairs) -> BinRelation:
         rows = [0] * size
         for a, b in pairs:
+            a, b = operator.index(a), operator.index(b)  # numpy ints, not floats
             if not (0 <= a < size and 0 <= b < size):
                 raise InputError(f"pair ({a}, {b}) out of range for size {size}")
             rows[a] |= 1 << b
@@ -62,18 +70,20 @@ class BinRelation:
     @staticmethod
     def from_matrix(matrix) -> BinRelation:
         size = len(matrix)
-        rows = []
         for a, line in enumerate(matrix):
             if len(line) != size:
                 raise InputError(f"matrix row {a} has length {len(line)}, expected {size}")
-            row = 0
             for b, cell in enumerate(line):
                 if cell not in (0, 1, True, False):
                     raise InputError(f"matrix[{a}][{b}] must be 0 or 1")
-                if cell:
-                    row |= 1 << b
-            rows.append(row)
-        return BinRelation(size, tuple(rows))
+        return BinRelation.from_array(np.array(matrix, dtype=bool).reshape(size, size))
+
+    @staticmethod
+    def from_array(matrix: np.ndarray) -> BinRelation:
+        """The relation of an (m, m) bool array, rows by first coordinate."""
+        packed = np.packbits(matrix, axis=1, bitorder="little")
+        return BinRelation(len(matrix), tuple(int.from_bytes(row.tobytes(), "little")
+                                              for row in packed))
 
     # -- queries -----------------------------------------------------
 
@@ -87,6 +97,20 @@ class BinRelation:
 
     def count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The relation as a read-only (m, m) bool array, rows by first
+        coordinate; made on first use and kept, since rows never change."""
+        if self._matrix is None:
+            width = (self.size + 7) // 8
+            raw = b"".join(row.to_bytes(width, "little") for row in self.rows)
+            packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.size, width)
+            matrix = np.unpackbits(packed, axis=1, count=self.size,
+                                   bitorder="little").view(bool)
+            matrix.flags.writeable = False
+            object.__setattr__(self, "_matrix", matrix)
+        return self._matrix
 
     def to_matrix(self) -> list[list[int]]:
         return [[(row >> b) & 1 for b in range(self.size)] for row in self.rows]

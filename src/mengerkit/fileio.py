@@ -13,11 +13,11 @@ import json
 
 import numpy as np
 
-from .algebra import MAX_ARITY, AbstractAlgebra, Violation
+from .algebra import AbstractAlgebra, Violation
 from .bitrel import BinRelation
 from .errors import InputError
 from .represent import BLANK, Representation, ReprPart, Universe
-from .tables import UNDEFINED, ConcreteAlgebra, PartialFunction
+from .tables import MAX_ARITY, UNDEFINED, ConcreteAlgebra, PartialFunction
 
 ALGEBRA_FORMAT = "mengerkit-algebra-v1"
 RELATION_FORMAT = "mengerkit-relation-v1"

@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .bitrel import BinRelation
 from .errors import CapacityError, InputError
 from .relations import is_l_regular
@@ -42,8 +40,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.arity < 1 or self.base_size < 1 or self.generator_count < 0:
             raise InputError("arity, base_size must be positive; generator_count >= 0")
-        if self.flavor not in ("menger", "plain"):
-            raise InputError(f"unknown flavor {self.flavor!r}")
+        # an empty algebra of this shape checks the flavor and the table caps
+        ConcreteAlgebra(self.arity, self.base_size, (), self.flavor)
 
 
 def _draw_function(rng: random.Random, arity: int, base: int) -> PartialFunction:
@@ -135,6 +133,5 @@ def identity_representation(conc: ConcreteAlgebra) -> Representation:
     points = list(product(range(conc.base_size), repeat=conc.arity))
     universe = Universe(conc.arity, conc.base_size, points, "base",
                         has_all_tuples=True)
-    assign = np.array([f.entries for f in conc.functions], dtype=np.int64)
-    part = ReprPart(universe, assign, ("identity",))
+    part = ReprPart(universe, conc.table, ("identity",))
     return Representation(len(conc.functions), (part,))

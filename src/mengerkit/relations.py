@@ -32,28 +32,13 @@ def _check_sized(r: BinRelation, alg: AbstractAlgebra):
         raise InputError(f"relation size {r.size} does not match carrier {alg.size}")
 
 
-def _matrix(r: BinRelation) -> np.ndarray:
-    """r as an (m, m) bool array, rows by first coordinate."""
-    width = (r.size + 7) // 8
-    raw = b"".join(row.to_bytes(width, "little") for row in r.rows)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(r.size, width)
-    return np.unpackbits(packed, axis=1, count=r.size, bitorder="little").view(bool)
-
-
-def _relation(matrix: np.ndarray) -> BinRelation:
-    """The relation of an (m, m) bool array."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return BinRelation(len(matrix), tuple(int.from_bytes(row.tobytes(), "little")
-                                          for row in packed))
-
-
 def _translated_violation(r: BinRelation, alg: AbstractAlgebra, related: bool,
                           law: str, details: tuple[str, str]) -> Violation | None:
     """First (x, y, translation) with x r y == related but t(x) r t(y) !=
     related, over the pairs in row-major order and the translations in
     table order; details are for slot and superposition translations."""
     _check_sized(r, alg)
-    R = _matrix(r)
+    R = r.matrix
     T, args = right_translations(alg)
     held = R[T[:, None, :], T[None, :, :]]  # axes (x, y, column)
     where = _first(R[:, :, None] > held if related else R[:, :, None] < held)
@@ -105,7 +90,7 @@ def is_v_negative(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
         return None
     # the first witness, in the order the clauses are stated
     n, m = alg.arity, alg.size
-    R = _matrix(r)
+    R = r.matrix
     space = alg.states()
     # axes (state, slot, x); an untouched slot holds no occupant
     below = R[space.actions[:, None, :], space.slots[:, :, None]]
@@ -138,7 +123,7 @@ def _least_v_negative(alg: AbstractAlgebra) -> BinRelation:
         if alg.flavor == "menger":
             T, args = right_translations(alg)
             below[T[:, alg.arity * alg.size :][:, :, None], args] = True
-        return _relation(below)
+        return BinRelation.from_array(below)
 
     return alg.derived("v-negative", compute)
 
@@ -159,7 +144,7 @@ def seed_relations(alg: AbstractAlgebra, as_plain: bool = False):
 def _seed_relations(alg: AbstractAlgebra, plain: bool):
     comp = _word_pairs(alg)
     if plain:
-        return None, _relation(comp)
+        return None, BinRelation.from_array(comp)
     T, args = right_translations(alg)
     results = T[:, alg.arity * alg.size :]  # results[a, k] = a[args[k]]
     u, v = np.nonzero(comp)
@@ -167,8 +152,8 @@ def _seed_relations(alg: AbstractAlgebra, plain: bool):
     # one-step wrappings: each argument x of a[args[k]] goes to a[args[k]]
     one_step = np.zeros_like(comp)
     one_step[args, results[:, :, None]] = True
-    reach = _relation(one_step).reflexive_closure().transitive_closure()
-    return reach.transpose(), _relation(comp)
+    reach = BinRelation.from_array(one_step).reflexive_closure().transitive_closure()
+    return reach.transpose(), BinRelation.from_array(comp)
 
 
 def _one_step_relation(alg: AbstractAlgebra, kind: str,

@@ -19,8 +19,8 @@ occupant tuples disagree on actions, and warrant the collapse of point
 blocks by the cross-checks below.
 
 Sums concatenate part lists; the component universes stay disjoint, so
-domain relations combine by intersection (inclusion, equality) and union
-(overlap) over the parts.
+the domain relations of a sum are those of its parts' domains laid side
+by side: inclusion and equality hold in every part, overlap in some part.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .algebra import (
 )
 from .bitrel import BinRelation
 from .errors import InputError
-from .relations import _relation, is_l_regular, is_v_negative
+from .relations import is_l_regular, is_v_negative
+from .tables import relations_of_domains
 
 BLANK = EMPTY  # placeholder coordinate, only valid at its own slot
 
@@ -151,22 +152,6 @@ class ReprPart:
         self.universe = universe
         self.assign = assign
         self.labels = tuple(labels)
-        self._relations = None
-
-    def domains(self) -> np.ndarray:
-        return self.assign >= 0
-
-    def relations(self):
-        if self._relations is None:
-            dom = self.domains()
-            inside = ~np.any(dom[:, None, :] & ~dom[None, :, :], axis=2)
-            overlap = np.any(dom[:, None, :] & dom[None, :, :], axis=2)
-            chi, gamma = _relation(inside), _relation(overlap)
-            self._relations = (chi, gamma, chi & chi.transpose())
-        return self._relations
-
-    def dedupe_key(self):
-        return (id(self.universe), self.assign.tobytes())
 
 
 class Representation:
@@ -240,7 +225,7 @@ def _anchored_parts(universe: Universe, chi: BinRelation, anchors) -> tuple[Repr
 def _dedupe(parts):
     seen = {}
     for part in parts:
-        key = part.dedupe_key()
+        key = (id(part.universe), part.assign.tobytes())
         if key in seen:
             kept = seen[key]
             kept.labels = kept.labels + part.labels
@@ -280,27 +265,24 @@ def sum_representations(reps) -> Representation:
     return Representation(size, _dedupe(parts))
 
 
-def representation_relations(rep: Representation):
-    """Domain inclusion, overlap, and equality relations of the sum.
+def _concatenated(rep: Representation) -> np.ndarray:
+    """The parts' assignments side by side, (size, all parts' points)."""
+    return np.concatenate([np.empty((rep.size, 0), dtype=np.int64)]
+                          + [part.assign for part in rep.parts], axis=1)
 
-    Combined per part: inclusion and equality intersect, overlap unions.
-    An empty sum yields the full inclusion relation by convention.
-    """
-    chi = BinRelation.full(rep.size)
-    gamma = BinRelation.empty(rep.size)
-    for part in rep.parts:
-        part_chi, part_gamma, _ = part.relations()
-        chi = chi & part_chi
-        gamma = gamma | part_gamma
-    pi = chi & chi.transpose()
-    return chi, gamma, pi
+
+def representation_relations(rep: Representation):
+    """Domain inclusion, overlap, and equality relations of the sum, read
+    off the parts' domains side by side (the part universes are disjoint).
+    An empty sum yields the full inclusion relation by convention."""
+    return relations_of_domains(_concatenated(rep) >= 0)
 
 
 def is_faithful(rep: Representation):
     """None when the assignment is injective, else the colliding pair."""
     seen = {}
-    for g in range(rep.size):
-        key = b"".join(part.assign[g].tobytes() for part in rep.parts)
+    for g, row in enumerate(_concatenated(rep)):
+        key = row.tobytes()
         if key in seen:
             return (seen[key], g)
         seen[key] = g

@@ -10,12 +10,19 @@ one function per argument slot, and the binary slot compositions, which
 substitute a single inner function into one argument slot.  Both sides of
 each defining equation are undefined exactly together, so domains shrink
 as compositions stack.
+
+A concrete algebra keeps its members' entries as one ``(m, base**n)``
+table.  Every composite of the members comes from one kernel,
+:func:`composite_blocks`, and the domain relations of any set of rows from
+one kernel, :func:`relations_of_domains`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
+
+import numpy as np
 
 from .bitrel import BinRelation
 from .errors import CapacityError, InputError
@@ -23,6 +30,13 @@ from .errors import CapacityError, InputError
 UNDEFINED = -1
 
 DEFAULT_CLOSURE_CAP = 4096
+
+# superassociativity lays two argument tuples along 2n array axes, and
+# numpy arrays have at most 64
+MAX_ARITY = 32
+# cells of one table, base**arity: the forge draws every cell of a
+# generator, and each composite block holds this many columns
+MAX_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -44,8 +58,8 @@ class PartialFunction:
                 f"table has {len(self.entries)} entries, expected {expected}"
             )
         for idx, value in enumerate(self.entries):
-            if value != UNDEFINED and not (0 <= value < self.base_size):
-                raise InputError(f"table entry {idx} = {value} out of range")
+            if type(value) is not int or not UNDEFINED <= value < self.base_size:
+                raise InputError(f"table entry {idx} = {value!r} out of range")
 
     # -- basic access ---------------------------------------------------
 
@@ -62,14 +76,6 @@ class PartialFunction:
     def at(self, args: tuple[int, ...]) -> int:
         """Value at an argument tuple, or UNDEFINED."""
         return self.entries[self.cell_index(args)]
-
-    def domain_bits(self) -> int:
-        """Bitmask over cell indices where the function is defined."""
-        mask = 0
-        for idx, value in enumerate(self.entries):
-            if value != UNDEFINED:
-                mask |= 1 << idx
-        return mask
 
     def is_empty(self) -> bool:
         return all(v == UNDEFINED for v in self.entries)
@@ -97,6 +103,56 @@ class PartialFunction:
         return PartialFunction(arity, base_size, (value,) * base_size**arity)
 
 
+# -- the composite kernel ---------------------------------------------------
+# Tables are (rows, cells) arrays with UNDEFINED outside the domains.  A
+# landing array holds the cell each outer function is read at, or ``cells``
+# where an inner value is undefined, which reads an UNDEFINED padding cell.
+
+
+def _slot_landing(inner: np.ndarray, arity: int, base: int, slot: int) -> np.ndarray:
+    """(len(inner), cells): each cell with its slot coordinate replaced by
+    inner row j's value there."""
+    cells, weight = inner.shape[1], base ** (arity - 1 - slot)
+    cell = np.arange(cells)
+    cleared = cell - cell // weight % base * weight
+    return np.where(inner >= 0, cleared + inner.astype(np.intp) * weight, cells)
+
+
+def _superposition_landing(inners: list[np.ndarray], base: int) -> np.ndarray:
+    """(len(inners[0]), .., len(inners[-1]), cells): the cell whose
+    coordinates are the values of one row of each inner table."""
+    n, cells = len(inners), inners[0].shape[1]
+    landing, defined = 0, True
+    for k, inner in enumerate(inners):
+        axis = inner.reshape((1,) * k + (len(inner),) + (1,) * (n - 1 - k) + (cells,))
+        landing, defined = landing * base + axis.astype(np.intp), defined & (axis >= 0)
+    return np.where(defined, landing, cells)
+
+
+def composite_blocks(table: np.ndarray, arity: int, base: int, flavor: str):
+    """Every composite of the rows of ``table``, one block of rows at a
+    time: per slot the m*m rows i *slot j (i-major), then on menger
+    flavor, per head f, the m**n rows f[args] (argument tuples
+    lexicographic).  A block never holds more than m**max(n, 2) rows."""
+    m, cells = table.shape
+    padded = np.concatenate([table, np.full((m, 1), UNDEFINED, table.dtype)], axis=1)
+    for slot in range(arity):
+        yield padded[:, _slot_landing(table, arity, base, slot)].reshape(m * m, cells)
+    if flavor == "menger":
+        landing = _superposition_landing([table] * arity, base).reshape(m**arity, cells)
+        yield from (head[landing] for head in padded)
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row, equal exactly for equal rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _function(arity: int, base_size: int, row: np.ndarray) -> PartialFunction:
+    return PartialFunction(arity, base_size, tuple(row.tolist()))
+
+
 def _check_compatible(f: PartialFunction, g: PartialFunction):
     if f.arity != g.arity or f.base_size != g.base_size:
         raise InputError(
@@ -115,19 +171,9 @@ def superpose(f: PartialFunction, gs: list[PartialFunction]) -> PartialFunction:
         raise InputError(f"superposition needs {f.arity} inner functions, got {len(gs)}")
     for g in gs:
         _check_compatible(f, g)
-    entries = []
-    for args in product(range(f.base_size), repeat=f.arity):
-        inner = []
-        for g in gs:
-            v = g.at(args)
-            if v == UNDEFINED:
-                break
-            inner.append(v)
-        if len(inner) < f.arity:
-            entries.append(UNDEFINED)
-        else:
-            entries.append(f.at(tuple(inner)))
-    return PartialFunction(f.arity, f.base_size, tuple(entries))
+    inners = [np.array([g.entries]) for g in gs]
+    landing = _superposition_landing(inners, f.base_size).ravel()
+    return _function(f.arity, f.base_size, np.array(f.entries + (UNDEFINED,))[landing])
 
 
 def mann_compose(f: PartialFunction, g: PartialFunction, slot: int) -> PartialFunction:
@@ -139,58 +185,76 @@ def mann_compose(f: PartialFunction, g: PartialFunction, slot: int) -> PartialFu
     _check_compatible(f, g)
     if not (0 <= slot < f.arity):
         raise InputError(f"slot {slot} out of range [0, {f.arity})")
-    entries = []
-    for args in product(range(f.base_size), repeat=f.arity):
-        v = g.at(args)
-        if v == UNDEFINED:
-            entries.append(UNDEFINED)
-        else:
-            outer = args[:slot] + (v,) + args[slot + 1 :]
-            entries.append(f.at(outer))
-    return PartialFunction(f.arity, f.base_size, tuple(entries))
+    landing = _slot_landing(np.array([g.entries]), f.arity, f.base_size, slot)
+    return _function(f.arity, f.base_size, np.array(f.entries + (UNDEFINED,))[landing[0]])
 
 
 @dataclass(frozen=True)
 class ConcreteAlgebra:
-    """A duplicate-free, composition-closed set of partial functions."""
+    """A duplicate-free, composition-closed set of partial functions.
+
+    ``table`` is the read-only (m, base**n) array of the members' entries,
+    in the smallest signed dtype that holds base - 1.
+    """
 
     arity: int
     base_size: int
     functions: tuple[PartialFunction, ...]
     flavor: str  # "menger" | "plain"
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flavor not in ("menger", "plain"):
             raise InputError(f"unknown flavor {self.flavor!r}")
-        seen = set()
-        for f in self.functions:
-            if f.arity != self.arity or f.base_size != self.base_size:
-                raise InputError("all member functions must share arity and base_size")
-            if f.entries in seen:
-                raise InputError("duplicate function table in algebra")
-            seen.add(f.entries)
+        if self.arity > MAX_ARITY or self.base_size**self.arity > MAX_CELLS:
+            raise InputError(f"base {self.base_size} at arity {self.arity} is over the "
+                             f"table caps (arity {MAX_ARITY}, {MAX_CELLS} cells)")
+        if any(f.arity != self.arity or f.base_size != self.base_size
+               for f in self.functions):
+            raise InputError("all member functions must share arity and base_size")
+        if len(set(self.functions)) < len(self.functions):
+            raise InputError("duplicate function table in algebra")
+        table = np.array([f.entries for f in self.functions],
+                         dtype=np.min_scalar_type(-max(self.base_size, 1)))
+        table = table.reshape(len(self.functions), self.base_size**self.arity)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     def __len__(self) -> int:
         return len(self.functions)
 
+    def composite_indices(self):
+        """(indices, None) when closed under the applicable compositions,
+        where indices holds the member index of every composite in
+        composite_blocks order, in the smallest unsigned dtype that holds
+        m - 1; else (None, (description, composite)) for the first
+        composite that is not a member."""
+        keys = _keys(self.table)
+        order = np.argsort(keys)
+        members = keys[order]
+        m = len(members)
+        order = order.astype(np.min_scalar_type(max(m - 1, 0)))
+        indices = []
+        blocks = composite_blocks(self.table, self.arity, self.base_size, self.flavor)
+        for b, block in enumerate(blocks):
+            wanted = _keys(block)
+            at = np.searchsorted(members, wanted).clip(max=max(m - 1, 0))
+            missing = np.flatnonzero(members[at] != wanted)
+            if missing.size:
+                r, n = int(missing[0]), self.arity
+                if b < n:
+                    label = f"f{r // m} *{b + 1} f{r % m}"
+                else:
+                    args = " ".join(f"f{a}" for a in np.unravel_index(r, (m,) * n))
+                    label = f"f{b - n}[{args}]"
+                return None, (label, _function(n, self.base_size, block[r]))
+            indices.append(order[at])
+        return np.concatenate(indices), None
+
     def closure_violation(self):
         """None when closed under the applicable compositions, else a
         (description, composite) witness."""
-        index = {f.entries for f in self.functions}
-        for slot in range(self.arity):
-            for i, f in enumerate(self.functions):
-                for j, g in enumerate(self.functions):
-                    h = mann_compose(f, g, slot)
-                    if h.entries not in index:
-                        return (f"f{i} *{slot + 1} f{j}", h)
-        if self.flavor == "menger":
-            for i, f in enumerate(self.functions):
-                for combo in product(range(len(self.functions)), repeat=self.arity):
-                    h = superpose(f, [self.functions[j] for j in combo])
-                    if h.entries not in index:
-                        args = " ".join(f"f{j}" for j in combo)
-                        return (f"f{i}[{args}]", h)
-        return None
+        return self.composite_indices()[1]
 
 
 def close_under_operations(
@@ -201,83 +265,50 @@ def close_under_operations(
     base_size: int | None = None,
 ) -> ConcreteAlgebra:
     """Least superset of the generators closed under all slot compositions
-    (and superposition for menger flavor), in breadth-first insertion order.
+    (and superposition for menger flavor), in breadth-first insertion order:
+    each round appends the composites of the members so far that are new,
+    in composite_blocks order of first occurrence.
 
     ``arity``/``base_size`` are only needed for an empty generator list.
     Raises CapacityError with the partial count when the closure would
     exceed ``cap`` elements.
     """
-    if flavor not in ("menger", "plain"):
-        raise InputError(f"unknown flavor {flavor!r}")
-    elements: list[PartialFunction] = []
-    seen: set[tuple[int, ...]] = set()
-    for g in generators:
-        if arity is None:
-            arity, base_size = g.arity, g.base_size
-        elif g.arity != arity or g.base_size != base_size:
-            raise InputError("generators must share arity and base_size")
-        if g.entries not in seen:
-            seen.add(g.entries)
-            elements.append(g)
+    if generators and arity is None:
+        arity, base_size = generators[0].arity, generators[0].base_size
     if arity is None or base_size is None:
         raise InputError("empty generator list needs explicit arity and base_size")
-    if len(elements) > cap:
-        raise CapacityError(f"closure cap {cap} exceeded", count=len(elements))
+    start = ConcreteAlgebra(arity, base_size, tuple(dict.fromkeys(generators)), flavor)
+    if len(start) > cap:
+        raise CapacityError(f"closure cap {cap} exceeded", count=len(start))
 
-    old = 0  # members below this index were already composed with each other
+    table = start.table
+    # each member's entries as bytes; a dict keeps first insertion order
+    members = dict.fromkeys(_keys(table).tolist())
     while True:
-        fresh: list[PartialFunction] = []
-
-        def emit(h: PartialFunction):
-            if h.entries not in seen:
-                seen.add(h.entries)
-                fresh.append(h)
-                if len(seen) > cap:
-                    raise CapacityError(f"closure cap {cap} exceeded", count=len(seen))
-
-        total = len(elements)
-        for slot in range(arity):
-            for i, f in enumerate(elements):
-                for j, g in enumerate(elements):
-                    if i < old and j < old:
-                        continue
-                    emit(mann_compose(f, g, slot))
-        if flavor == "menger":
-            for i, f in enumerate(elements):
-                for combo in product(range(total), repeat=arity):
-                    if i < old and all(j < old for j in combo):
-                        continue
-                    emit(superpose(f, [elements[j] for j in combo]))
-        if not fresh:
+        for block in composite_blocks(table, arity, base_size, flavor):
+            members.update(dict.fromkeys(_keys(block).tolist()))
+            if len(members) > cap:
+                raise CapacityError(f"closure cap {cap} exceeded", count=cap + 1)
+        if len(members) == len(table):
             break
-        old = total
-        elements.extend(fresh)
+        table = np.frombuffer(b"".join(members), table.dtype).reshape(len(members), -1)
 
-    return ConcreteAlgebra(arity, base_size, tuple(elements), flavor)
+    functions = tuple(_function(arity, base_size, row) for row in table)
+    return ConcreteAlgebra(arity, base_size, functions, flavor)
+
+
+# -- the domain-relation kernel -----------------------------------------------
+
+
+def relations_of_domains(domains: np.ndarray):
+    """(chi, gamma, pi) of the rows of a (members, points) bool array: chi
+    holds where the first row's points all lie in the second, gamma where
+    the rows share a point, pi where they are equal."""
+    inside = ~(domains @ ~domains.T)
+    return (BinRelation.from_array(inside), BinRelation.from_array(domains @ domains.T),
+            BinRelation.from_array(inside & inside.T))
 
 
 def domain_relations(algebra: ConcreteAlgebra):
-    """The three domain relations of the member functions.
-
-    Returns (chi, gamma, pi): chi holds where the first domain is included
-    in the second, gamma where the domains intersect, pi where they are
-    equal.
-    """
-    m = len(algebra.functions)
-    doms = [f.domain_bits() for f in algebra.functions]
-    chi = [0] * m
-    gamma = [0] * m
-    pi = [0] * m
-    for a in range(m):
-        for b in range(m):
-            if doms[a] & ~doms[b] == 0:
-                chi[a] |= 1 << b
-            if doms[a] & doms[b]:
-                gamma[a] |= 1 << b
-            if doms[a] == doms[b]:
-                pi[a] |= 1 << b
-    return (
-        BinRelation(m, tuple(chi)),
-        BinRelation(m, tuple(gamma)),
-        BinRelation(m, tuple(pi)),
-    )
+    """(chi, gamma, pi) of the member functions' domains."""
+    return relations_of_domains(algebra.table >= 0)

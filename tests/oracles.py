@@ -4,7 +4,8 @@ Each one computes its answer a second way: by a direct formula or a
 fixpoint over explicit maps, so that it does not share the library's
 state search or relation reachability, or, for the array kernels, by
 the loop over every instantiation that the kernel replaced, reading
-nested-list copies of the tables one cell at a time.
+nested-list copies of the tables (or the members' entry tuples) one cell
+at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,16 @@ from itertools import product
 
 import numpy as np
 
-from mengerkit import EMPTY, BinRelation, CapacityError, InputError, Violation
+from mengerkit import (
+    EMPTY,
+    UNDEFINED,
+    BinRelation,
+    CapacityError,
+    ConcreteAlgebra,
+    InputError,
+    PartialFunction,
+    Violation,
+)
 
 DEFAULT_TRANSLATION_CAP = 1_000_000
 
@@ -313,3 +323,146 @@ def seed_relations_by_loops(alg, plain):
                 for x in range(m)))
         trans = one_step.reflexive_closure().transitive_closure().transpose()
     return trans, comp
+
+
+# -- loop versions of the concrete-side kernels --------------------------------
+# Each composes one cell at a time through ``PartialFunction.at`` and keeps
+# the order of its library counterpart: slots 1..n over member pairs (i, j),
+# then superposition over (head, argument tuple), lexicographic.
+
+
+def superpose_by_cells(f, gs):
+    entries = []
+    for args in product(range(f.base_size), repeat=f.arity):
+        inner = []
+        for g in gs:
+            v = g.at(args)
+            if v == UNDEFINED:
+                break
+            inner.append(v)
+        if len(inner) < f.arity:
+            entries.append(UNDEFINED)
+        else:
+            entries.append(f.at(tuple(inner)))
+    return PartialFunction(f.arity, f.base_size, tuple(entries))
+
+
+def mann_compose_by_cells(f, g, slot):
+    entries = []
+    for args in product(range(f.base_size), repeat=f.arity):
+        v = g.at(args)
+        if v == UNDEFINED:
+            entries.append(UNDEFINED)
+        else:
+            entries.append(f.at(args[:slot] + (v,) + args[slot + 1 :]))
+    return PartialFunction(f.arity, f.base_size, tuple(entries))
+
+
+def composites_by_cells(functions, arity, flavor):
+    """(description, composite) for every composite of the members, in
+    the kernel's order."""
+    for slot in range(arity):
+        for i, f in enumerate(functions):
+            for j, g in enumerate(functions):
+                yield f"f{i} *{slot + 1} f{j}", mann_compose_by_cells(f, g, slot)
+    if flavor == "menger":
+        for i, f in enumerate(functions):
+            for combo in product(range(len(functions)), repeat=arity):
+                args = " ".join(f"f{j}" for j in combo)
+                yield f"f{i}[{args}]", superpose_by_cells(f, [functions[j] for j in combo])
+
+
+def closure_violation_by_cells(conc):
+    index = {f.entries for f in conc.functions}
+    for label, h in composites_by_cells(conc.functions, conc.arity, conc.flavor):
+        if h.entries not in index:
+            return (label, h)
+    return None
+
+
+def close_by_loops(generators, flavor="menger", cap=4096, arity=None, base_size=None):
+    """Semi-naive breadth-first closure: each round composes only the
+    tuples that involve a member added in the previous round."""
+    elements, seen = [], set()
+    for g in generators:
+        arity, base_size = g.arity, g.base_size
+        if g.entries not in seen:
+            seen.add(g.entries)
+            elements.append(g)
+    if len(elements) > cap:
+        raise CapacityError(f"closure cap {cap} exceeded", count=len(elements))
+    old = 0  # members below this index were already composed with each other
+    while True:
+        fresh = []
+
+        def emit(h):
+            if h.entries not in seen:
+                seen.add(h.entries)
+                fresh.append(h)
+                if len(seen) > cap:
+                    raise CapacityError(f"closure cap {cap} exceeded", count=len(seen))
+
+        total = len(elements)
+        for slot in range(arity):
+            for i, f in enumerate(elements):
+                for j, g in enumerate(elements):
+                    if i >= old or j >= old:
+                        emit(mann_compose_by_cells(f, g, slot))
+        if flavor == "menger":
+            for i, f in enumerate(elements):
+                for combo in product(range(total), repeat=arity):
+                    if i >= old or any(j >= old for j in combo):
+                        emit(superpose_by_cells(f, [elements[j] for j in combo]))
+        if not fresh:
+            break
+        old = total
+        elements.extend(fresh)
+    return ConcreteAlgebra(arity, base_size, tuple(elements), flavor)
+
+
+def abstract_by_loops(conc):
+    """(mann, superposition or None) of a closed concrete algebra, one
+    composite at a time; a missing composite raises InputError naming it."""
+    n, m = conc.arity, len(conc.functions)
+    index = {f.entries: i for i, f in enumerate(conc.functions)}
+    located = []
+    for label, h in composites_by_cells(conc.functions, n, conc.flavor):
+        if h.entries not in index:
+            raise InputError(f"concrete algebra is not closed: {label} missing")
+        located.append(index[h.entries])
+    mann = np.reshape(located[: n * m * m], (n, m, m))
+    superposition = None
+    if conc.flavor == "menger":
+        superposition = np.reshape(located[n * m * m :], (m,) * (n + 1))
+    return mann, superposition
+
+
+def domain_relations_by_bits(conc):
+    """(chi, gamma, pi) of the members' domains as bitmasks over cells."""
+    doms = [sum(1 << k for k, v in enumerate(f.entries) if v != UNDEFINED)
+            for f in conc.functions]
+    m = len(doms)
+    chi, gamma, pi = [0] * m, [0] * m, [0] * m
+    for a in range(m):
+        for b in range(m):
+            if doms[a] & ~doms[b] == 0:
+                chi[a] |= 1 << b
+            if doms[a] & doms[b]:
+                gamma[a] |= 1 << b
+            if doms[a] == doms[b]:
+                pi[a] |= 1 << b
+    return (BinRelation(m, tuple(chi)), BinRelation(m, tuple(gamma)),
+            BinRelation(m, tuple(pi)))
+
+
+def representation_relations_by_parts(rep):
+    """Relations of a sum combined part by part: inclusion intersects,
+    overlap unions; an empty sum gives full inclusion."""
+    chi, gamma = BinRelation.full(rep.size), BinRelation.empty(rep.size)
+    for part in rep.parts:
+        dom = part.assign >= 0
+        inside = ~np.any(dom[:, None, :] & ~dom[None, :, :], axis=2)
+        overlap = np.any(dom[:, None, :] & dom[None, :, :], axis=2)
+        chi = chi & BinRelation.from_matrix(inside.tolist())
+        gamma = gamma | BinRelation.from_matrix(overlap.tolist())
+    return chi, gamma, chi & chi.transpose()

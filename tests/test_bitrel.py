@@ -1,8 +1,9 @@
 from hypothesis import given
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
-from mengerkit import BinRelation, InputError
+from mengerkit import BinRelation, InputError, is_l_regular
 
 
 def rel(size, pairs):
@@ -113,3 +114,22 @@ def test_then_is_relational_composition(a, b):
     }
     assert set(a.then(b).pairs()) == expected
 
+
+
+def test_from_pairs_takes_numpy_ints(zero_proj):
+    r = BinRelation.from_pairs(2, [(np.int64(0), np.int64(0))])
+    assert type(r.rows[0]) is int
+    assert is_l_regular(r, zero_proj) is None
+    wide = BinRelation.from_pairs(70, [(0, np.int64(65))])
+    assert wide.rows[0] == 1 << 65 and wide.contains(0, 65)
+    with pytest.raises(TypeError):
+        BinRelation.from_pairs(2, [(0.0, 1)])
+
+
+def test_matrix_is_kept_and_read_only():
+    r = rel(3, [(0, 2), (1, 1)])
+    assert r.matrix is r.matrix
+    assert r.matrix.tolist() == [[bool(v) for v in row] for row in r.to_matrix()]
+    with pytest.raises(ValueError):
+        r.matrix[0, 0] = True
+    assert BinRelation.from_array(r.matrix) == r

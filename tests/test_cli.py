@@ -146,6 +146,15 @@ def test_generate_is_deterministic(tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+def test_generate_over_the_table_caps_exits_2(tmp_path, capsys):
+    # 3**40 cells, and arity 33 (a file the loader would refuse)
+    for n, base in (("40", "3"), ("33", "1")):
+        assert main(["generate", "--n", n, "--base", base, "--gens", "1",
+                     "--seed", "0", "--out-dir", str(tmp_path / n)]) == 2
+        assert "table caps" in capsys.readouterr().err
+        assert not (tmp_path / n).exists() or not any((tmp_path / n).iterdir())
+
+
 def test_json_report_is_byte_stable(paths, capsys):
     main(["check", "--algebra", paths["alg"], "--json"])
     first = capsys.readouterr().out

@@ -167,6 +167,14 @@ def test_non_list_function_rejected():
         algebra_from_doc(doc)
 
 
+def test_concrete_table_over_the_cell_cap_rejected():
+    # 2**17 cells per function, over MAX_CELLS, even with no functions
+    doc = {"format": "mengerkit-algebra-v1", "kind": "concrete", "flavor": "plain",
+           "n": 17, "base_size": 2, "functions": []}
+    with pytest.raises(InputError):
+        algebra_from_doc(doc)
+
+
 def test_non_list_matrix_rejected():
     with pytest.raises(InputError):
         relation_from_doc({"format": "mengerkit-relation-v1", "size": 3, "matrix": 5})

@@ -1,8 +1,10 @@
 """The array kernels (homomorphism check, Menger and semigroup laws, zero
-laws, relation predicates, seed relations) against the dense and loop
-implementations kept in ``oracles``: both must return the same Violation,
-witness included, not only the same verdict."""
+laws, relation predicates, seed relations, and on the concrete side
+compositions, closure, closedness, abstraction and domain relations)
+against the dense and loop implementations kept in ``oracles``: both must
+return the same Violation or witness, not only the same verdict."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -11,35 +13,49 @@ import pytest
 from mengerkit import (
     AbstractAlgebra,
     BinRelation,
+    CapacityError,
+    ConcreteAlgebra,
     GeneratorConfig,
+    InputError,
     Representation,
     Target,
     abstract_from_concrete,
     check_associativity,
     check_menger_identities,
+    close_under_operations,
     domain_relations,
     generate_concrete,
     identity_representation,
     is_l_cancellative,
     is_l_regular,
     is_v_negative,
+    mann_compose,
+    representation_relations,
     roundtrip,
     sum_over_pairs,
+    superpose,
     verify_homomorphism,
 )
-from mengerkit import represent
+from mengerkit import forge, represent
 from mengerkit.algebra import _mixed_law_violation, _zero_law_violation
 from mengerkit.relations import _least_v_negative, _seed_relations
 from mengerkit.represent import ReprPart
 from mengerkit.theorems import TARGET_KINDS
 
 from oracles import (
+    abstract_by_loops,
     associativity_by_loops,
+    close_by_loops,
+    closure_violation_by_cells,
     dense_homomorphism_violation,
+    domain_relations_by_bits,
     l_cancellative_by_loops,
     l_regular_by_loops,
+    mann_compose_by_cells,
     mixed_law_violation_by_loops,
+    representation_relations_by_parts,
     seed_relations_by_loops,
+    superpose_by_cells,
     v_negative_by_loops,
     zero_law_violation_by_loops,
 )
@@ -76,17 +92,24 @@ def m18():
     return alg, rep
 
 
+def battery_representations(conc):
+    """The abstraction of conc, and its identity representation followed
+    by the round-trip representation of every target."""
+    alg = abstract_from_concrete(conc)
+    chi, gamma, pi = domain_relations(conc)
+    reps = [identity_representation(conc)]
+    for kind in TARGET_KINDS:
+        verdict = roundtrip(alg, Target(kind, chi=chi, gamma=gamma, pi=pi))
+        assert verdict.representation is not None, kind
+        reps.append(verdict.representation)
+    return alg, reps
+
+
 def test_battery_representations_match_dense_check(menger_battery, plain_battery):
     rng = np.random.default_rng(0)
     flagged = 0
     for conc in menger_battery[:8] + plain_battery[:8]:
-        alg = abstract_from_concrete(conc)
-        chi, gamma, pi = domain_relations(conc)
-        reps = [identity_representation(conc)]
-        for kind in TARGET_KINDS:
-            verdict = roundtrip(alg, Target(kind, chi=chi, gamma=gamma, pi=pi))
-            assert verdict.representation is not None, kind
-            reps.append(verdict.representation)
+        alg, reps = battery_representations(conc)
         for rep in reps:
             assert verify_homomorphism(rep, alg) is None
             assert dense_homomorphism_violation(rep, alg) is None
@@ -300,3 +323,107 @@ def test_menger_identity_memory_is_bounded():
     # measured 8.7 MB; the whole S[S] array and its right side took 18.4 MB
     # in uint8 and would take 8 times that in intp
     assert peak < 12 * 2**20
+
+
+# -- the concrete side against its cell-by-cell loops -------------------------
+
+# the perfbench catalogue (scale and queries workloads)
+CATALOGUE = [
+    GeneratorConfig(2, 3, 1, 8, "menger", 26), GeneratorConfig(2, 3, 1, 33, "menger", 26),
+    GeneratorConfig(2, 3, 1, 28, "menger", 26), GeneratorConfig(2, 3, 1, 56, "menger", 26),
+    GeneratorConfig(3, 2, 1, 12, "plain", 40), GeneratorConfig(3, 2, 1, 7, "plain", 40),
+    GeneratorConfig(2, 3, 1, 5, "menger", 26),
+]
+
+
+def closure_outcome(close, generators, flavor, cap):
+    """The closure's members in order, or the count of its CapacityError."""
+    try:
+        return [f.entries for f in close(generators, flavor, cap=cap).functions]
+    except CapacityError as exc:
+        return exc.count
+
+
+def test_compositions_match_cell_loops():
+    rng = random.Random("compositions")
+    for _ in range(300):
+        arity, base = rng.randint(1, 3), rng.randint(1, 3)
+        f, *gs = [forge._draw_function(rng, arity, base) for _ in range(arity + 1)]
+        assert superpose(f, gs) == superpose_by_cells(f, gs)
+        for slot in range(arity):
+            assert mann_compose(f, gs[0], slot) == mann_compose_by_cells(f, gs[0], slot)
+
+
+def test_cap10_closures_match_loop_closure():
+    """Seeds 0-199, both flavors, four draws each of 1-3 generators over
+    base 2 or 3: the same members in the same order, or the same count."""
+    capped = 0
+    for seed in range(200):
+        for flavor in ("menger", "plain"):
+            rng = random.Random(f"closure-draws:{seed}:{flavor}")
+            for _ in range(4):
+                base, count = rng.choice((2, 3)), rng.randint(1, 3)
+                generators = [forge._draw_function(rng, 2, base) for _ in range(count)]
+                ours = closure_outcome(close_under_operations, generators, flavor, 10)
+                assert ours == closure_outcome(close_by_loops, generators, flavor, 10)
+                capped += type(ours) is int
+    assert 500 < capped < 1500  # both outcomes are exercised
+
+
+def test_catalogue_matches_loop_closure_and_abstraction(monkeypatch):
+    for cfg in CATALOGUE:
+        conc = generate_concrete(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(forge, "close_under_operations", close_by_loops)
+            assert generate_concrete(cfg).functions == conc.functions
+        alg = abstract_from_concrete(conc)
+        mann, superposition = abstract_by_loops(conc)
+        assert np.array_equal(alg.mann, mann)
+        assert np.array_equal(alg.superposition, superposition)  # or both None
+
+
+def test_non_closed_sets_match_loops(menger_battery, plain_battery):
+    """Each battery algebra, and it with each member dropped in turn: the
+    same closure witness, and the same tables or abstraction error."""
+    missing = 0
+    for conc in menger_battery[:20] + plain_battery[:20]:
+        members = conc.functions
+        for k in range(-1, len(members)):
+            kept = members if k < 0 else members[:k] + members[k + 1 :]
+            if not kept:
+                continue
+            subset = ConcreteAlgebra(conc.arity, conc.base_size, kept, conc.flavor)
+            assert subset.closure_violation() == closure_violation_by_cells(subset)
+            try:
+                mann, superposition = abstract_by_loops(subset)
+            except InputError as exc:
+                with pytest.raises(InputError) as err:
+                    abstract_from_concrete(subset)
+                assert str(err.value) == str(exc)
+                missing += 1
+                continue
+            alg = abstract_from_concrete(subset)
+            assert np.array_equal(alg.mann, mann)
+            assert np.array_equal(alg.superposition, superposition)
+    assert missing > 100
+
+
+def test_domain_relations_match_bits_and_parts(menger_battery, plain_battery):
+    for conc in menger_battery[:8] + plain_battery[:8]:
+        assert domain_relations(conc) == domain_relations_by_bits(conc)
+        alg, reps = battery_representations(conc)
+        for rep in reps + [Representation(alg.size, ())]:
+            assert representation_relations(rep) == representation_relations_by_parts(rep)
+
+
+def test_abstraction_memory_is_bounded():
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
+                                             seed=14, closure_cap=64))
+    assert len(conc) == 62
+    tracemalloc.start()
+    try:
+        abstract_from_concrete(conc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20  # measured 2.2 MB; the loop abstraction took 3.8 MB

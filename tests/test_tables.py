@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,3 +224,18 @@ def test_domain_relation_shape_invariants(menger_battery):
 def test_duplicate_functions_rejected(proj1):
     with pytest.raises(InputError):
         ConcreteAlgebra(2, 2, (proj1, proj1), "menger")
+
+
+def test_non_int_entries_rejected():
+    # a float is not truncated to a cell value, nor a numpy integer kept
+    for entries in ((0.5, 1), (np.int64(0), 1), (True, 1)):
+        with pytest.raises(InputError):
+            PartialFunction(1, 2, entries)
+
+
+def test_concrete_table_is_one_read_only_array(empty2, corner, proj1):
+    algebra = ConcreteAlgebra(2, 2, (empty2, corner, proj1), "menger")
+    assert algebra.table.dtype == np.int8
+    assert algebra.table.tolist() == [list(f.entries) for f in algebra.functions]
+    with pytest.raises(ValueError):
+        algebra.table[0, 0] = 0
