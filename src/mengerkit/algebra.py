@@ -15,17 +15,22 @@ the finite set of reachable states; no word-length truncation is involved.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .tables import MAX_ARITY, ConcreteAlgebra
+from .tables import MAX_ARITY, ConcreteAlgebra, _keys
 
 EMPTY = -1  # unoccupied slot marker; only valid at its own position
 
 DEFAULT_STATE_CAP = 2_000_000
+
+# children expanded per block of the state BFS: each takes its row of
+# n + m bytes (m < 256), the row again among the sorted keys, and an
+# 8-byte sort index
+STATE_BLOCK_CHILDREN = 1 << 14
 
 Word = tuple[tuple[int, int], ...]  # ((slot, element), ...), slots 0-based
 
@@ -168,9 +173,11 @@ class WordState:
     """Reachable state of a composition word: slot occupants plus action.
 
     ``slots[i]`` is EMPTY when slot i never occurs in the word.  ``word``
-    is one shortest witness; ``alt_word`` is a second witness recorded when
-    another word first re-reaches the same state (used by debug
-    cross-witness checks).
+    is the word of the first expansion event of the BFS that reaches the
+    state, a shortest one; ``alt_word`` is the word of the second such
+    event, in the order (parent in BFS order, slot, y), which may come at
+    a later depth, or None when only one event reaches the state.  Every
+    universe build replays both words (``represent._cross_witness_check``).
     """
 
     slots: tuple[int, ...]
@@ -224,47 +231,102 @@ def slot_occupants(alg: AbstractAlgebra, word: Word) -> tuple[int, ...]:
 
 def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
     """BFS over word states from the empty word under all one-step
-    extensions.  State identity is (slots, action); one shortest witness
-    word is kept per state, plus one alternative witness when available."""
+    extensions (slot, y).  State identity is (slots, action); each state
+    keeps the word of the first expansion event that reaches it, a shortest
+    one, and the word of the second one as ``alt_word``.  Events run in
+    the order (parent in BFS order, slot, y).
+
+    A state is one fixed-width row: n slot entries (EMPTY coded as m),
+    then m action entries, in the smallest unsigned dtype that holds m.
+    The frontier is expanded in blocks of at most STATE_BLOCK_CHILDREN
+    children, each gathered from the mann tables, deduplicated by row key
+    and looked up once per distinct row.  Raises CapacityError with count
+    cap + 1 when more than ``cap`` states are reachable."""
     n, m = alg.arity, alg.size
-    mann = alg.mann.tolist()  # Python ints index faster than array scalars
-    identity = tuple(range(m))
-    init_key = ((EMPTY,) * n, identity)
-    initial = WordState(init_key[0], identity, 0, ())
-    seen: dict[tuple, WordState] = {init_key: initial}
-    order: list[WordState] = []
-    queue = deque([initial])
-    while queue:
-        state = queue.popleft()
+    width, fan = n + m, n * m  # row width, children per parent
+    dtype = np.min_scalar_type(m)
+    # step[slot, v, y] = v *slot y, with an extra row m that keeps EMPTY;
+    # fill is the same table whose row m puts y into its own empty slot
+    step = np.full((n, m + 1, m), m, dtype)
+    step[:, :m] = alg.mann
+    fill = step.copy()
+    fill[:, m] = np.arange(m)
+    parents_per_block = max(1, STATE_BLOCK_CHILDREN // fan)
+
+    # per state: its row, its first event and its second one (-1: none);
+    # an event is parent * fan + slot * m + y.  State 0 is the empty word,
+    # which no event reaches, since each one fills a slot.  Events are kept
+    # as machine integers: kept Python ints, scattered among each block's
+    # short-lived ones, held about 1 MB more of the heap on ``queries``.
+    rows = np.empty((64, width), dtype)
+    rows[0] = [m] * n + list(range(m))
+    first_event, second_event = array('q', [-1]), array('q', [-1])
+    seen = {rows[0].tobytes(): 0}
+    start = 0
+    while start < len(seen):
+        count = len(seen)
+        stop = min(count, start + parents_per_block)
+        parents = rows[start:stop]
+        children = np.empty((stop - start, n, m, width), dtype)
         for slot in range(n):
-            table = mann[slot]
-            for y in range(m):
-                new_slots = tuple(
-                    (table[v][y] if v != EMPTY else (y if i == slot else EMPTY))
-                    for i, v in enumerate(state.slots)
-                )
-                new_action = tuple(table[v][y] for v in state.action)
-                key = (new_slots, new_action)
-                known = seen.get(key)
-                if known is None:
-                    if len(seen) > cap:
-                        raise CapacityError(
-                            f"state cap {cap} exceeded", count=len(seen))
-                    fresh = WordState(new_slots, new_action, state.depth + 1,
-                                      state.word + ((slot, y),))
-                    seen[key] = fresh
-                    order.append(fresh)
-                    queue.append(fresh)
-                elif known.alt_word is None and known.depth >= 1:
-                    candidate = state.word + ((slot, y),)
-                    if candidate != known.word:
-                        object.__setattr__(known, "alt_word", candidate)
+            children[:, slot] = step[slot][parents].transpose(0, 2, 1)
+            children[:, slot, :, slot] = fill[slot][parents[:, slot]]
+        children = children.reshape(-1, width)
+        # each distinct row's first and second occurrence, by the first one;
+        # bounds[i] marks where a run of equal keys starts (or all end)
+        keys = _keys(children)
+        by_key = keys.argsort(kind="stable")
+        ranked = keys[by_key]
+        bounds = np.ones(len(keys) + 1, bool)
+        bounds[1:-1] = ranked[1:] != ranked[:-1]
+        heads = bounds[:-1].nonzero()[0]
+        heads = heads[by_key[heads].argsort()]
+        base = start * fan
+        # (heads + 1 wraps only where the run has no second occurrence)
+        seconds = np.where(bounds[heads + 1], -1, by_key[(heads + 1) % len(keys)] + base)
+        fresh = []  # the children that are new states, in event order
+        for key, one, two in zip(ranked[heads].tolist(), (by_key[heads] + base).tolist(),
+                                 seconds.tolist()):
+            state = seen.get(key)  # one lookup per distinct row
+            if state is None:
+                seen[key] = len(first_event)
+                first_event.append(one)
+                second_event.append(two)
+                fresh.append(one - base)
+            elif second_event[state] < 0:  # met again: this is its second event
+                second_event[state] = one
+        if len(seen) - 1 > max(cap, 0):  # the empty word is not counted
+            raise CapacityError(f"state cap {cap} exceeded", count=max(cap, 0) + 1)
+        if len(seen) > len(rows):
+            rows = np.resize(rows, (max(2 * len(rows), len(seen)), width))
+        rows[count : len(seen)] = children[fresh]
+        start = stop
+
+    return _state_space(n, m, rows[1 : len(seen)], first_event, second_event)
+
+
+def _state_space(n: int, m: int, rows: np.ndarray, first_event: array,
+                 second_event: array) -> StateSpace:
+    """The StateSpace of the rows and events of :func:`reachable_states`
+    (``rows`` without the empty word, the events with it), every word
+    rebuilt from parent pointers."""
+    fan = n * m
+    words: list[Word] = [()]  # indexed like the events
+    for event in first_event[1:]:
+        words.append(words[event // fan] + (divmod(event % fan, m),))
+    alts = [None if event < 0 else words[event // fan] + (divmod(event % fan, m),)
+            for event in second_event[1:]]
+    slots = rows[:, :n].astype(np.intp)
+    slots[slots == m] = EMPTY
+    actions = rows[:, n:].astype(np.intp)
+    states = tuple(
+        WordState(tuple(occupants), tuple(action), len(word), word, alt)
+        for occupants, action, word, alt in zip(slots.tolist(), actions.tolist(),
+                                                words[1:], alts))
     by_slots: dict[tuple, list[WordState]] = {}
-    for state in order:
+    for state in states:
         by_slots.setdefault(state.slots, []).append(state)
-    slots = _read_only([state.slots for state in order]).reshape(len(order), n)
-    actions = _read_only([state.action for state in order]).reshape(len(order), m)
-    return StateSpace(tuple(order), by_slots, slots, actions)
+    return StateSpace(states, by_slots, _read_only(slots), _read_only(actions))
 
 
 def check_representability(alg: AbstractAlgebra) -> Violation | None:
@@ -435,16 +497,27 @@ def abstract_from_concrete(conc: ConcreteAlgebra) -> AbstractAlgebra:
     obeying the zero laws when one exists (the empty function whenever it
     is a member).
     """
+    alg, missing = abstraction_or_witness(conc)
+    if missing is not None:
+        raise InputError(f"concrete algebra is not closed: {missing[0]} missing")
+    return alg
+
+
+def abstraction_or_witness(conc: ConcreteAlgebra):
+    """(abstraction, None) when ``conc`` is closed, else (None, witness)
+    with the (description, composite) of the first missing composite:
+    closedness and the tables come from one composite pass."""
     n, m = conc.arity, len(conc)
     if m == 0:
         raise InputError("cannot abstract an empty concrete algebra")
     indices, missing = conc.composite_indices()
     if missing is not None:
-        raise InputError(f"concrete algebra is not closed: {missing[0]} missing")
+        return None, missing
     mann, rest = indices[: n * m * m].reshape(n, m, m), indices[n * m * m :]
     superposition = rest.reshape((m,) * (n + 1)) if conc.flavor == "menger" else None
 
     alg = AbstractAlgebra(n, m, mann, superposition, flavor=conc.flavor)
     zero = alg.zero_element()
-    return alg if zero is None else AbstractAlgebra(n, m, mann, superposition, zero,
-                                                    conc.flavor)
+    if zero is not None:
+        alg = AbstractAlgebra(n, m, mann, superposition, zero, conc.flavor)
+    return alg, None

@@ -18,6 +18,7 @@ import sys
 from . import fileio
 from .algebra import (
     abstract_from_concrete,
+    abstraction_or_witness,
     check_associativity,
     check_menger_identities,
     check_representability,
@@ -44,24 +45,26 @@ _KIND_FLAGS = {
 }
 
 
-def _load_algebra_pair(path: str, flavor_override: str | None):
-    """(abstract algebra, concrete origin or None) from an algebra file."""
+def _load_algebra(path: str, flavor_override: str | None):
+    """The concrete or abstract algebra of an algebra file, as its plain
+    reduct when ``flavor_override`` is "plain"."""
     loaded = fileio.load_algebra(path)
-    if isinstance(loaded, ConcreteAlgebra):
-        if flavor_override == "plain" and loaded.flavor == "menger":
-            loaded = ConcreteAlgebra(loaded.arity, loaded.base_size,
-                                     loaded.functions, "plain")
-        return abstract_from_concrete(loaded), loaded
     if flavor_override == "plain" and loaded.flavor == "menger":
-        loaded = loaded.plain_reduct()
-    return loaded, None
+        if isinstance(loaded, ConcreteAlgebra):
+            return ConcreteAlgebra(loaded.arity, loaded.base_size, loaded.functions,
+                                   "plain")
+        return loaded.plain_reduct()
+    return loaded
 
 
 def _load_semigroup(path: str, flavor_override: str | None):
-    """Like :func:`_load_algebra_pair`, but a table that breaks
-    associativity (or, on menger flavor, the Menger identities) is an
+    """(abstract algebra, concrete origin or None) from an algebra file.
+    A concrete algebra that is not closed, or a table that breaks
+    associativity (or, on menger flavor, the Menger identities), is an
     input error: every later verdict assumes these laws."""
-    alg, concrete = _load_algebra_pair(path, flavor_override)
+    alg, concrete = _load_algebra(path, flavor_override), None
+    if isinstance(alg, ConcreteAlgebra):
+        alg, concrete = abstract_from_concrete(alg), alg
     violation = check_associativity(alg)
     if violation is None and alg.flavor == "menger":
         violation = check_menger_identities(alg)
@@ -115,11 +118,13 @@ def _violation_detail(violation):
 
 
 def cmd_check(args, report: Report) -> None:
-    alg, concrete = _load_algebra_pair(args.algebra, args.flavor)
-    if concrete is not None:
-        witness = concrete.closure_violation()
+    alg = _load_algebra(args.algebra, args.flavor)
+    if isinstance(alg, ConcreteAlgebra):
+        alg, witness = abstraction_or_witness(alg)
         report.add("concrete-closure", witness is None,
                    None if witness is None else witness[0])
+        if alg is None:  # the laws below are verdicts on the abstraction
+            return
     witness = check_associativity(alg)
     report.add("associativity", witness is None, _violation_detail(witness))
     if alg.flavor == "menger":

@@ -10,6 +10,7 @@ at a time.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -24,7 +25,9 @@ from mengerkit import (
     InputError,
     PartialFunction,
     Violation,
+    WordState,
 )
+from mengerkit.algebra import DEFAULT_STATE_CAP, StateSpace
 
 DEFAULT_TRANSLATION_CAP = 1_000_000
 
@@ -266,9 +269,66 @@ def l_cancellative_by_loops(r, alg):
     return None
 
 
+def _read_only_intp(rows, width):
+    array = np.array(rows, dtype=np.intp).reshape(len(rows), width)
+    array.flags.writeable = False
+    return array
+
+
+def reachable_states_by_loops(alg, cap=DEFAULT_STATE_CAP):
+    """The word-state BFS one (state, slot, y) cell at a time over
+    nested-list tables, with a tuple key per child: the first event that
+    reaches a state gives its word, the second its alt_word.  Oracle for
+    :func:`mengerkit.reachable_states`."""
+    n, m = alg.arity, alg.size
+    mann = alg.mann.tolist()
+    identity = tuple(range(m))
+    init_key = ((EMPTY,) * n, identity)
+    initial = WordState(init_key[0], identity, 0, ())
+    seen = {init_key: initial}
+    order = []
+    queue = deque([initial])
+    while queue:
+        state = queue.popleft()
+        for slot in range(n):
+            table = mann[slot]
+            for y in range(m):
+                new_slots = tuple(
+                    (table[v][y] if v != EMPTY else (y if i == slot else EMPTY))
+                    for i, v in enumerate(state.slots)
+                )
+                new_action = tuple(table[v][y] for v in state.action)
+                key = (new_slots, new_action)
+                known = seen.get(key)
+                if known is None:
+                    if len(seen) > cap:
+                        raise CapacityError(f"state cap {cap} exceeded", count=len(seen))
+                    fresh = WordState(new_slots, new_action, state.depth + 1,
+                                      state.word + ((slot, y),))
+                    seen[key] = fresh
+                    order.append(fresh)
+                    queue.append(fresh)
+                elif known.alt_word is None and known.depth >= 1:
+                    candidate = state.word + ((slot, y),)
+                    if candidate != known.word:
+                        object.__setattr__(known, "alt_word", candidate)
+    by_slots = {}
+    for state in order:
+        by_slots.setdefault(state.slots, []).append(state)
+    return StateSpace(tuple(order), by_slots,
+                      _read_only_intp([state.slots for state in order], n),
+                      _read_only_intp([state.action for state in order], m))
+
+
+def loop_states(alg):
+    """The states of :func:`reachable_states_by_loops`, kept with the
+    algebra under their own key, apart from the library's states."""
+    return alg.derived("loop states", lambda: reachable_states_by_loops(alg).states)
+
+
 def v_negative_by_loops(r, alg):
     t = Tables(alg)
-    for state in alg.states().states:
+    for state in loop_states(alg):
         for j, occupant in enumerate(state.slots):
             if occupant == EMPTY:
                 continue
@@ -302,10 +362,10 @@ def one_step_translation_maps(alg):
 
 def seed_relations_by_loops(alg, plain):
     """(translation quasi-order or None, composite-component relation) by
-    explicit pair sets over the kept states and the one-step maps."""
+    explicit pair sets over the loop BFS's states and the one-step maps."""
     m, t = alg.size, Tables(alg)
     comp_pairs = set()
-    for state in alg.states().states:
+    for state in loop_states(alg):
         for occupant in state.slots:
             if occupant == EMPTY:
                 continue

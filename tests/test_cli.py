@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from mengerkit import BinRelation, build_closure, domain_relations
+from mengerkit import (
+    BinRelation,
+    ConcreteAlgebra,
+    GeneratorConfig,
+    build_closure,
+    domain_relations,
+    generate_concrete,
+)
 from mengerkit.cli import main
 from mengerkit.fileio import save_algebra, save_relation
 
@@ -227,3 +234,18 @@ def test_mann_that_is_not_a_list_exits_2(tmp_path, capsys):
     alg.write_text(json.dumps(doc))
     assert main(["check", "--algebra", str(alg)]) == 2
     assert "mann" in capsys.readouterr().err
+
+
+def test_check_reports_a_concrete_file_that_is_not_closed(tmp_path, capsys):
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3,
+                                             generator_count=1, seed=8))
+    assert len(conc) == 18
+    path = tmp_path / "open.json"
+    save_algebra(ConcreteAlgebra(2, 3, conc.functions[:-1], "menger"), str(path))
+    assert main(["check", "--algebra", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL concrete-closure (f0 *1 f16)\n" and not captured.err
+    assert main(["check", "--algebra", str(path), "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdicts"] == [{"name": "concrete-closure", "ok": False,
+                                "detail": "f0 *1 f16"}]

@@ -1,8 +1,9 @@
 """The array kernels (homomorphism check, Menger and semigroup laws, zero
-laws, relation predicates, seed relations, and on the concrete side
-compositions, closure, closedness, abstraction and domain relations)
-against the dense and loop implementations kept in ``oracles``: both must
-return the same Violation or witness, not only the same verdict."""
+laws, relation predicates, seed relations, the word-state BFS, and on the
+concrete side compositions, closure, closedness, abstraction and domain
+relations) against the dense and loop implementations kept in
+``oracles``: both must return the same Violation or witness, not only
+the same verdict."""
 
 import random
 import tracemalloc
@@ -30,13 +31,14 @@ from mengerkit import (
     is_l_regular,
     is_v_negative,
     mann_compose,
+    reachable_states,
     representation_relations,
     roundtrip,
     sum_over_pairs,
     superpose,
     verify_homomorphism,
 )
-from mengerkit import forge, represent
+from mengerkit import algebra, forge, represent
 from mengerkit.algebra import _mixed_law_violation, _zero_law_violation
 from mengerkit.relations import _least_v_negative, _seed_relations
 from mengerkit.represent import ReprPart
@@ -53,6 +55,7 @@ from oracles import (
     l_regular_by_loops,
     mann_compose_by_cells,
     mixed_law_violation_by_loops,
+    reachable_states_by_loops,
     representation_relations_by_parts,
     seed_relations_by_loops,
     superpose_by_cells,
@@ -427,3 +430,93 @@ def test_abstraction_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20  # measured 2.2 MB; the loop abstraction took 3.8 MB
+
+
+# -- the word-state BFS against its loop version --------------------------------
+
+
+def bfs_outcome(search, alg, cap):
+    """The count of the search's CapacityError, or None when it stays
+    within the cap."""
+    try:
+        search(alg, cap=cap)
+    except CapacityError as exc:
+        return exc.count
+    return None
+
+
+def assert_states_match_loops(alg, caps=True):
+    """Identical states (slots, action, depth, word, alt_word), by_slots key
+    order, read-only arrays and, for caps 1, 10, S - 1 and S, identical
+    CapacityError counts."""
+    ours, loops = reachable_states(alg), reachable_states_by_loops(alg)
+    assert ([(s.slots, s.action, s.depth, s.word, s.alt_word) for s in ours.states]
+            == [(s.slots, s.action, s.depth, s.word, s.alt_word) for s in loops.states])
+    assert list(ours.by_slots) == list(loops.by_slots)
+    for array, expected in ((ours.slots, loops.slots), (ours.actions, loops.actions)):
+        assert array.dtype == expected.dtype and np.array_equal(array, expected)
+        assert not array.flags.writeable
+    count = len(loops.states)
+    for cap in sorted({1, 10, count - 1, count}) if caps else ():
+        assert (bfs_outcome(reachable_states, alg, cap)
+                == bfs_outcome(reachable_states_by_loops, alg, cap))
+    return ours
+
+
+def test_battery_states_match_loops(menger_battery, plain_battery):
+    for conc in menger_battery[:40] + plain_battery[:30]:
+        assert_states_match_loops(abstract_from_concrete(conc))
+
+
+def test_catalogue_states_match_loops():
+    sizes = []
+    for cfg in CATALOGUE:
+        space = assert_states_match_loops(abstract_from_concrete(generate_concrete(cfg)))
+        sizes.append(len(space.states))
+    assert sizes[4:6] == [2326, 2094]  # plain22 and plain23, n=3
+
+
+def test_perturbed_mann_states_match_loops(m18):
+    alg, _ = m18
+    rng = np.random.default_rng(8)
+    mann = np.array(alg.mann)
+    slot, x, y = rng.integers(2), *rng.integers(alg.size, size=2)
+    mann[slot, x, y] = (mann[slot, x, y] + 1 + rng.integers(alg.size - 1)) % alg.size
+    pert = AbstractAlgebra(2, alg.size, mann, alg.superposition, flavor="menger")
+    assert len(assert_states_match_loops(pert).states) != len(alg.states().states)
+
+
+def test_one_parent_blocks_match_loops(m18, menger_battery, monkeypatch):
+    # each block expands one parent, so a state's children, its second
+    # event and the blocks that meet it again all lie in different blocks
+    monkeypatch.setattr(algebra, "STATE_BLOCK_CHILDREN", 1)
+    alg, _ = m18
+    spaces = [assert_states_match_loops(alg)]
+    spaces += [assert_states_match_loops(abstract_from_concrete(conc), caps=False)
+               for conc in menger_battery[:10]]
+    alts = [s for space in spaces for s in space.states if s.alt_word is not None]
+    # second events from the parent of the first one and from another parent
+    assert any(s.alt_word[:-1] == s.word[:-1] for s in alts)
+    assert any(s.alt_word[:-1] != s.word[:-1] for s in alts)
+    assert any(len(s.alt_word) > s.depth for s in alts)  # met again one level down
+
+
+def states_peak(alg) -> int:
+    tracemalloc.start()
+    try:
+        reachable_states(alg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_state_bfs_memory_is_bounded(monkeypatch):
+    conc = generate_concrete(GeneratorConfig(arity=3, base_size=2, generator_count=1,
+                                             seed=12, flavor="plain", closure_cap=40))
+    alg = abstract_from_concrete(conc)
+    # measured 2.7-3.0 MB, 1.8 MB of which is the returned states (the loop
+    # BFS peaks at 2.4 MB)
+    assert states_peak(alg) < 5 * 2**20
+    # one block per BFS level, unbounded: 6.7 MB
+    monkeypatch.setattr(algebra, "STATE_BLOCK_CHILDREN", 1 << 40)
+    assert states_peak(alg) > 5 * 2**20
