@@ -21,6 +21,14 @@ blocks by the cross-checks below.
 Sums concatenate part lists; the component universes stay disjoint, so
 the domain relations of a sum are those of its parts' domains laid side
 by side: inclusion and equality hold in every part, overlap in some part.
+
+The homomorphism check compares both sides of every equation in every
+part.  The parts of a canonical sum share one universe and differ only
+in their domains, so consecutive parts over one universe that agree
+wherever two of them are defined are checked as one group: one value
+table, one domain bit per part, and one pass over the equations for all
+of them.  A part loaded from a file, or from another universe, is a
+group of its own.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .algebra import (
     slot_occupants_generic,
 )
 from .bitrel import BinRelation
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .relations import is_l_regular, is_v_negative
 from .tables import relations_of_domains
 
@@ -46,8 +54,15 @@ BLANK = EMPTY  # placeholder coordinate, only valid at its own slot
 
 # elements in one block of superposition landing points in the homomorphism
 # check: 8 bytes each (intp, which numpy gathers with no per-call index
-# conversion) plus 3 for one head's two sides and their comparison
+# conversion) plus three words for the block's gate and one head's two
+# sides, and three more words and a 1-byte comparison in a step where
+# the two sides' words differ; a word holds value + 1 and one bit per part of the
+# group, 1 byte for a lone part at m < 256 and 2 for 11 parts at m=23
 HOM_BLOCK_ELEMENTS = 1 << 22
+# equations in the homomorphism check of one group of parts, n * m**2 +
+# m**(n+1) per universe point: about 7.6 M at m=23, 2.0e8 at m=45 and
+# 2.4e10 at m=118 (n=2), which is refused
+MAX_HOM_EQUATIONS = 1 << 30
 
 
 class Universe:
@@ -65,18 +80,21 @@ class Universe:
         self.states = states or {}
         self.values = values  # (carrier, points) array for extended universes
         self.has_all_tuples = has_all_tuples
-        # subst[p, slot, v]: the point p with coordinate slot set to v, or -1
+        # subst[p, slot, v]: the point p with coordinate slot set to v, or -1;
+        # v = value_size (or -1) stands for an undefined value and reads -1
         self.subst = np.array([[[self.index.get(p[:slot] + (v,) + p[slot + 1 :], -1)
-                                 for v in range(value_size)] for slot in range(n)]
-                               for p in self.points], dtype=np.int64
-                              ).reshape(len(self.points), n, value_size)
+                                 for v in range(value_size)] + [-1] for slot in range(n)]
+                               for p in self.points], dtype=np.intp
+                              ).reshape(len(self.points), n, value_size + 1)
+        # all_index[c]: the all-carrier point c, likewise padded with -1
         self.all_index = None
         if has_all_tuples:
             all_index = np.array([self.index.get(c, -1) for c in
-                                  product(range(value_size), repeat=n)], dtype=np.int64)
+                                  product(range(value_size), repeat=n)], dtype=np.intp)
             if (all_index < 0).any():
                 raise InputError("universe is missing all-tuple points")
-            self.all_index = all_index.reshape((value_size,) * n)
+            self.all_index = np.full((value_size + 1,) * n, -1, dtype=np.intp)
+            self.all_index[(slice(value_size),) * n] = all_index.reshape((value_size,) * n)
 
     def __len__(self):
         return len(self.points)
@@ -296,83 +314,177 @@ def verify_homomorphism(rep: Representation, alg: AbstractAlgebra) -> Violation 
     Slot compositions substitute the inner value into the coordinate;
     superposition (menger flavor, universes carrying every all-tuple
     point) feeds computed values as a fresh argument tuple.  Both sides of
-    every equation are compared: n * m**2 slot equations and m**(n+1)
-    superposition equations per universe point of each part.  Parts are
+    every equation are compared in every part: n * m**2 slot equations and
+    m**(n+1) superposition equations per universe point.  Parts are
     checked in order, and within a part slots 1..n and then
     superposition, each in lexicographic order of its elements and point;
     the first mismatch is returned with the elements and point involved.
-    Memory is bounded per block of equations (see HOM_BLOCK_ELEMENTS),
-    not by the equation count.
+
+    Runs of parts over one universe that agree wherever two of them are
+    defined form groups, each checked in one pass with one bit per part
+    (see _groups and _scan); the lowest failing part of a group is then
+    checked alone for its first witness.  Raises CapacityError when a
+    group has more than MAX_HOM_EQUATIONS equations.  Memory is bounded
+    per block of equations (see HOM_BLOCK_ELEMENTS), not by the equation
+    count.
     """
     if rep.size != alg.size:
         raise InputError("representation carrier does not match algebra")
-    for part in rep.parts:
-        violation = _verify_part(part, alg.mann, alg.superposition)
+    for parts, values in _groups(rep.parts):
+        count = _equation_count(parts[0].universe, alg)
+        if count > MAX_HOM_EQUATIONS:
+            raise CapacityError(f"homomorphism check of {count} equations exceeds "
+                                f"the cap {MAX_HOM_EQUATIONS}", count=count)
+        failing, violation = _scan(parts, values, alg)
+        if failing and violation is None:
+            part = parts[(failing & -failing).bit_length() - 1]
+            _, violation = _scan([part], part.assign, alg)
         if violation is not None:
             return violation
     return None
 
 
-def _verify_part(part: ReprPart, mann, sup) -> Violation | None:
-    universe = part.universe
-    m, count = part.assign.shape
-    size = universe.value_size
-    dtype = np.min_scalar_type(-max(size, 1))  # holds size - 1 and -1
-    A = part.assign.astype(dtype)
-    # Ax[g, -1] is -1, so a landing point of -1 (no such point) reads undefined
-    Ax = np.concatenate([A, np.full((m, 1), -1, dtype=dtype)], axis=1)
-    points = np.arange(count)
-    for slot, table in enumerate(mann):
-        # substitution with a trailing -1 column, read by undefined values
-        subst = np.full((count, size + 1), -1, dtype=np.intp)
-        subst[:, :size] = universe.subst[:, slot, :]
-        landed = subst[points, A]  # landed[g2, p]: p with slot <- P(g2)(p)
-        for g1 in range(m):
-            # P(g1 *slot g2)(p) against P(g1)(p with slot <- P(g2)(p)), rows g2
-            diff = A[table[g1]] != Ax[g1].take(landed)
-            if diff.any():
-                g2, p = (int(v) for v in np.argwhere(diff)[0])
-                return Violation(
-                    f"homomorphism-slot:{slot + 1}", (g1, g2, universe.points[p]),
-                    "P(g1 *i g2) differs from P(g1) *i P(g2)")
-    if sup is not None and universe.all_index is not None:
-        return _verify_superposition(universe, A, Ax, sup)
-    return None
+def _equation_count(universe: Universe, alg: AbstractAlgebra) -> int:
+    n, m = alg.arity, alg.size
+    superposition = alg.superposition is not None and universe.all_index is not None
+    return (n * m**2 + superposition * m ** (n + 1)) * len(universe)
 
 
-def _verify_superposition(universe: Universe, A, Ax, sup) -> Violation | None:
-    """First mismatch of P(g[g1..gn])(p) against P(g)(P(g1)(p)..P(gn)(p)).
+def _groups(parts):
+    """(parts, values) per group: a run of consecutive parts over one
+    Universe object that agree on every value two of them define, with at
+    most as many parts as a 64-bit word has bits left beside the value
+    (see _scan); values is the group's common (m, points) value table,
+    -1 where none of its parts is defined."""
+    groups = []
+    for part in parts:
+        assign = part.assign
+        if groups:
+            members, values = groups[-1]
+            universe = members[0].universe
+            if (part.universe is universe
+                    and len(members) < 64 - int(universe.value_size).bit_length()
+                    and not ((assign != values) & (np.minimum(assign, values) >= 0)).any()):
+                members.append(part)
+                groups[-1] = (members, np.maximum(values, assign))
+                continue
+        groups.append(([part], assign))
+    return groups
 
-    The landing points do not depend on the head g, so they are built
-    once per block of leading arguments g1 and every head is compared
-    against them.  A mismatch at head g in one block is the first of all
-    heads <= g there; a later block (larger g1) can only hold an earlier
-    witness at a smaller head, so later blocks check only those.
+
+def _scan(parts, values, alg: AbstractAlgebra):
+    """(failing bits, first Violation) of one group of parts.
+
+    Each element and point has a word: value + 1 (0 where no part is
+    defined) above one domain bit per part, bit k set where part k is
+    defined, in the smallest unsigned dtype that holds it.  The word of
+    element g at point p is W[g, p], its value V[g, p] and its bits
+    D[g, p].
+
+    For an equation at point p with left side composite c = T[h, a] (the
+    slot or superposition table at head h and argument a) and landing
+    point q (p with the argument values substituted; -1 when one is
+    undefined or there is no such point), part k's left side is defined
+    where bit k of D[c, p] is set, with value V[c, p], and its right side
+    where bit k of D[a, p] (of every argument row, for superposition) and
+    of D[h, q] are set, with value V[h, q]: a part's own values are the
+    group's where it is defined, so its landing point is the group's.  With
+    bL and bR the words of those left and right bits,
+
+        fail = (bL ^ bR) | (bL * (V[c, p] != V[h, q]))
+
+    has bit k set exactly when part k's two masked sides differ: either
+    one side is defined and the other not (bit k of bL ^ bR), or both
+    are and the values differ (bit k of bL and of bR, and the values).
+
+    One gather per side brings value and bits.  A gate holds the
+    argument rows' bits under all-ones value bits, so W[h, q] & gate
+    holds bR and V[h, q] + 1, and x = W[c, p] ^ (W[h, q] & gate) holds
+    bL ^ bR in its bits and is above them exactly when the values
+    differ.  A failing bit makes x nonzero, so a step where x is zero
+    everywhere passes without working out fail; the scan returns the OR
+    of the fail words of every equation.
+
+    A lone part carries no domain bit and no gate: its value field is 0
+    exactly where it is undefined, and landing is -1 wherever its gate
+    would be 0, so x is nonzero exactly where the part fails.  Its scan
+    stops at the first failing equation in witness order: law by law,
+    block of arguments by block, head by head, a mismatch at head h in
+    one block is the first of all heads <= h there; a later block can
+    only hold an earlier witness at a smaller head, so later blocks check
+    only those.
     """
-    m, count = A.shape
-    n = sup.ndim - 1
-    size = universe.value_size
-    # all_index with a trailing -1 along each axis, read by undefined values
-    all_index = np.full((size + 1,) * n, -1, dtype=np.intp)
-    all_index[(slice(size),) * n] = universe.all_index
-    trailing = [A.reshape((1,) * k + (m,) + (1,) * (n - 1 - k) + (count,))
-                for k in range(1, n)]
-    rows = max(1, HOM_BLOCK_ELEMENTS // (m ** (n - 1) * count or 1))
-    found, heads = None, m
+    universe = parts[0].universe
+    n, m = alg.arity, alg.size
+    count = len(universe)
+    lone = len(parts) == 1
+    bits = 0 if lone else len(parts)
+    low = (1 << bits) - 1  # the domain bits
+    dtype = np.min_scalar_type((1 << bits + int(universe.value_size).bit_length()) - 1)
+    table = (values + 1).astype(dtype)
+    gates = None
+    if not lone:
+        table <<= bits
+        for k, part in enumerate(parts):
+            table |= np.left_shift(part.assign >= 0, k, dtype=dtype)
+        gates = table | ((1 << 8 * table.itemsize) - 1 - low)
+    # the right side reads column `count`, all zeros, at landing point -1
+    words = np.zeros((m, count + 1), dtype)
+    words[:, :count] = table
+    points = np.arange(count)
+    laws = [(f"homomorphism-slot:{slot + 1}", "P(g1 *i g2) differs from P(g1) *i P(g2)",
+             heads, int, [(0, universe.subst[points, slot, values], gates)])
+            for slot, heads in enumerate(alg.mann)]
+    if alg.superposition is not None and universe.all_index is not None:
+        laws.append(("homomorphism-superposition",
+                     "P(g[g1..gn]) differs from P(g)[P(g1)..P(gn)]",
+                     alg.superposition.reshape(m, -1),
+                     lambda a: tuple(int(v) for v in np.unravel_index(a, (m,) * n)),
+                     _superposition_blocks(universe, values, gates, n)))
+    failing = 0
+    for law, message, heads, arguments, blocks in laws:
+        found, last = None, m
+        for start, landing, gate in blocks:
+            rows = heads[:last, start : start + len(landing)]
+            for h, (row, word) in enumerate(zip(rows, words)):
+                x = word.take(landing)
+                if not lone:
+                    x &= gate
+                x ^= table[row]
+                if not x.any():
+                    continue
+                if lone:
+                    a, p = divmod(int(np.flatnonzero(x)[0]), count)
+                    found, last = (h, arguments(start + a), universe.points[p]), h
+                    break
+                fail = x & low  # bL ^ bR
+                fail |= (table[row] & low) * (x > low)
+                failing |= int(np.bitwise_or.reduce(fail, axis=None))
+        if found is not None:
+            return 1, Violation(law, found, message)
+    return failing, None
+
+
+def _superposition_blocks(universe: Universe, values, gates, n):
+    """Blocks of leading arguments g1, flattened with g2..gn: landing is
+    the all-tuple point of the argument values, gate (with gates) the AND
+    of the argument rows' gates.  A block stays under HOM_BLOCK_ELEMENTS."""
+    m, count = values.shape
+
+    def axis(rows, k):  # rows as the k-th argument axis
+        return rows.reshape((1,) * k + (len(rows),) + (1,) * (n - 1 - k) + (count,))
+
+    trailing = range(1, n)
+    per_row = m ** (n - 1)
+    rows = max(1, HOM_BLOCK_ELEMENTS // (per_row * count or 1))
     for start in range(0, m, rows):
-        block = A[start : start + rows]
-        lead = block.reshape((len(block),) + (1,) * (n - 1) + (count,))
-        landed = all_index[(lead, *trailing)]  # (g1 in block, g2..gn, p)
-        for g in range(heads):
-            diff = A[sup[g, start : start + rows]] != Ax[g].take(landed)
-            if diff.any():
-                where = [int(v) for v in np.argwhere(diff)[0]]
-                args = (start + where[0],) + tuple(where[1:n])
-                found, heads = (g, args, where[n]), g
-                break
-    if found is None:
-        return None
-    head, args, p = found
-    return Violation(
-        "homomorphism-superposition", (head, args, universe.points[p]),
-        "P(g[g1..gn]) differs from P(g)[P(g1)..P(gn)]")
+        block = slice(start, start + rows)
+        landing = universe.all_index[(axis(values[block], 0),
+                                      *(axis(values, k) for k in trailing))]
+        gate = None
+        if gates is not None:
+            gate = axis(gates[block], 0)
+            for k in trailing:
+                gate = gate & axis(gates, k)
+            gate = gate.reshape(-1, count)
+        yield start * per_row, landing.reshape(-1, count), gate

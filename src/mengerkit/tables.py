@@ -251,11 +251,6 @@ class ConcreteAlgebra:
             indices.append(order[at])
         return np.concatenate(indices), None
 
-    def closure_violation(self):
-        """None when closed under the applicable compositions, else a
-        (description, composite) witness."""
-        return self.composite_indices()[1]
-
 
 def close_under_operations(
     generators: list[PartialFunction],

@@ -4,12 +4,17 @@ import pytest
 
 from mengerkit import (
     BinRelation,
+    CapacityError,
     ConcreteAlgebra,
     GeneratorConfig,
+    Target,
     build_closure,
+    build_universe,
     domain_relations,
     generate_concrete,
+    roundtrip,
 )
+from mengerkit import represent
 from mengerkit.cli import main
 from mengerkit.fileio import save_algebra, save_relation
 
@@ -96,6 +101,24 @@ def test_verify_exit_one_on_failed_conditions(paths, tmp_path, capsys):
     ])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_over_the_equation_cap_exits_3(paths, zero_proj, zero_proj_concrete,
+                                              monkeypatch, capsys):
+    # the m=118 rung (14161 points) is refused; m=23 on scale is not
+    assert (2 * 23**2 + 23**3) * 576 < represent.MAX_HOM_EQUATIONS
+    assert (2 * 118**2 + 118**3) * 14161 > represent.MAX_HOM_EQUATIONS
+    count = (2 * 2**2 + 2**3) * len(build_universe(zero_proj))
+    argv = ["verify", "--algebra", paths["conc"], "--target", "triplet",
+            "--chi", paths["chi"], "--gamma", paths["gamma"], "--pi", paths["pi"]]
+    monkeypatch.setattr(represent, "MAX_HOM_EQUATIONS", count - 1)
+    with pytest.raises(CapacityError) as err:
+        roundtrip(zero_proj, Target("triplet", *domain_relations(zero_proj_concrete)))
+    assert err.value.count == count
+    assert main(argv) == 3
+    assert f"homomorphism check of {count} equations" in capsys.readouterr().err
+    monkeypatch.setattr(represent, "MAX_HOM_EQUATIONS", count)
+    assert main(argv) == 0
 
 
 def test_classify_reports_conditions(paths, capsys):

@@ -35,6 +35,8 @@ from mengerkit import (
     representation_relations,
     roundtrip,
     sum_over_pairs,
+    sum_over_points,
+    sum_representations,
     superpose,
     verify_homomorphism,
 )
@@ -192,7 +194,8 @@ def test_superposition_into_slot_matches_loops(m18):
         assert _mixed_law_violation(const) == expected
 
 
-def test_homomorphism_check_memory_is_bounded():
+@pytest.fixture(scope="module")
+def m23():
     conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
                                              seed=56, closure_cap=26))
     alg = abstract_from_concrete(conc)
@@ -201,13 +204,101 @@ def test_homomorphism_check_memory_is_bounded():
     assert alg.size == 23
     assert len(list(gamma.pairs())) == 376 and len(rep.parts) == 11
     assert sum(len(part.labels) for part in rep.parts) == 376
+    return alg, rep
+
+
+def test_homomorphism_check_memory_is_bounded(m23):
+    alg, rep = m23
     tracemalloc.start()
     try:
         assert verify_homomorphism(rep, alg) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20  # measured 3.8 MB; the whole-part arrays took 163.5 MB
+    assert peak < 16 * 2**20  # measured 4.3 MB; the whole-part arrays took 163.5 MB
+
+
+def changed_value(rep, k, g, p):
+    """rep with the defined value at cell (g, p) of part k changed."""
+    parts = list(rep.parts)
+    assign = parts[k].assign.copy()
+    assert assign[g, p] >= 0
+    assign[g, p] = (assign[g, p] + 1) % rep.size
+    parts[k] = ReprPart(parts[k].universe, assign, parts[k].labels)
+    return Representation(rep.size, parts)
+
+
+def assert_witness(rep, alg, expected, monkeypatch):
+    """verify_homomorphism finds expected, also with one leading argument
+    per superposition block."""
+    assert expected is not None
+    assert verify_homomorphism(rep, alg) == expected
+    with monkeypatch.context() as patch:
+        single_row_blocks(patch)
+        assert verify_homomorphism(rep, alg) == expected
+
+
+def test_parts_beyond_one_word_match_dense_check(m23, monkeypatch):
+    # the 11 parts six times over: 66 parts over one universe, more than
+    # one 64-bit word holds beside a value; the dense check passes the 11
+    # clean parts, so a corrupted part's witness in the sum is its own
+    alg, rep = m23
+    assert dense_homomorphism_violation(rep, alg) is None
+    big = Representation(rep.size, rep.parts * 6)
+    groups = represent._groups(big.parts)
+    assert len(groups) == 2 and len(groups[0][0]) < 66
+    rng = np.random.default_rng(23)
+    count = len(rep.parts[0].universe)
+    cells, witnesses = {}, {}
+    for k in (0, 65):
+        while witnesses.get(k) is None:  # the first seeded cell whose toggle fails
+            cells[k] = int(rng.integers(alg.size)), int(rng.integers(count))
+            broken = corrupted(big, k, *cells[k])
+            witnesses[k] = dense_homomorphism_violation(
+                Representation(rep.size, broken.parts[k : k + 1]), alg)
+        assert_witness(broken, alg, witnesses[k], monkeypatch)
+    assert_witness(corrupted(broken, 0, *cells[0]), alg, witnesses[0], monkeypatch)
+    # two failing parts in one group (part 11 repeats part 0 with another
+    # witness): the lower part's witness comes first
+    other = None
+    while other in (None, witnesses[0]):
+        cell = int(rng.integers(alg.size)), int(rng.integers(count))
+        other = dense_homomorphism_violation(
+            Representation(rep.size, corrupted(big, 11, *cell).parts[11:12]), alg)
+    both = corrupted(corrupted(big, 0, *cells[0]), 11, *cell)
+    assert len(represent._groups(both.parts)) == 2
+    assert_witness(both, alg, witnesses[0], monkeypatch)
+    # a changed defined value that other parts define too splits the group
+    k = 30
+    assign = big.parts[k].assign
+    shared = (assign >= 0) & (big.parts[k - 1].assign >= 0) & (big.parts[k + 1].assign >= 0)
+    g, p = (int(v) for v in np.argwhere(shared)[0])
+    split = changed_value(big, k, g, p)
+    assert len(represent._groups(split.parts)) > len(groups)
+    expected = dense_homomorphism_violation(Representation(rep.size, split.parts[k : k + 1]),
+                                            alg)
+    assert_witness(split, alg, expected, monkeypatch)
+
+
+def test_sum_over_two_universes_matches_dense_check(monkeypatch):
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3,
+                                             generator_count=1, seed=8))
+    alg = abstract_from_concrete(conc)
+    chi, _, _ = domain_relations(conc)
+    rep = sum_representations([identity_representation(conc), sum_over_points(alg, chi)])
+    assert len(rep.parts) >= 3
+    assert [len(parts) for parts, _ in represent._groups(rep.parts)] == [1, len(rep.parts) - 1]
+    assert verify_homomorphism(rep, alg) is None
+    assert dense_homomorphism_violation(rep, alg) is None
+    rng = np.random.default_rng(8)
+    for k in (0, 1, len(rep.parts) - 1):
+        part = rep.parts[k]
+        g, p = int(rng.integers(alg.size)), int(rng.integers(part.assign.shape[1]))
+        broken = corrupted(rep, k, g, p)
+        assert_witness(broken, alg, dense_homomorphism_violation(broken, alg), monkeypatch)
+        g, p = (int(v) for v in np.argwhere(part.assign >= 0)[-1])
+        broken = changed_value(rep, k, g, p)
+        assert_witness(broken, alg, dense_homomorphism_violation(broken, alg), monkeypatch)
 
 
 # -- predicates, laws and seeds against their loop versions -----------------
@@ -396,7 +487,7 @@ def test_non_closed_sets_match_loops(menger_battery, plain_battery):
             if not kept:
                 continue
             subset = ConcreteAlgebra(conc.arity, conc.base_size, kept, conc.flavor)
-            assert subset.closure_violation() == closure_violation_by_cells(subset)
+            assert subset.composite_indices()[1] == closure_violation_by_cells(subset)
             try:
                 mann, superposition = abstract_by_loops(subset)
             except InputError as exc:

@@ -165,13 +165,13 @@ def test_slot_complete_words_match_superposition(data):
 def test_closure_of_single_projection(proj1):
     algebra = close_under_operations([proj1], "menger")
     assert algebra.functions == (proj1,)
-    assert algebra.closure_violation() is None
+    assert algebra.composite_indices()[1] is None
 
 
 def test_closure_with_empty_function(empty2, proj1):
     algebra = close_under_operations([empty2, proj1], "menger")
     assert algebra.functions == (empty2, proj1)
-    assert algebra.closure_violation() is None
+    assert algebra.composite_indices()[1] is None
 
 
 def test_closure_of_nothing():
@@ -188,7 +188,7 @@ def test_closure_cap_reports_partial_count(proj1, proj2, const0):
 
 def test_generated_closures_are_closed(menger_battery):
     for conc in menger_battery[:25]:
-        assert conc.closure_violation() is None
+        assert conc.composite_indices()[1] is None
 
 
 def test_domain_relations_chain(empty2, corner, proj1):
