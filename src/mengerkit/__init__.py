@@ -12,16 +12,12 @@ from .algebra import (
     EMPTY,
     AbstractAlgebra,
     Violation,
-    WordState,
     abstract_from_concrete,
-    apply_word,
     check_associativity,
     check_menger_identities,
     check_representability,
     find_zero,
     reachable_states,
-    slot_occupants,
-    slot_occupants_generic,
 )
 from .bitrel import BinRelation
 from .errors import CapacityError, InputError, MengerkitError
@@ -75,16 +71,12 @@ __all__ = [
     "EMPTY",
     "AbstractAlgebra",
     "Violation",
-    "WordState",
     "abstract_from_concrete",
-    "apply_word",
     "check_associativity",
     "check_menger_identities",
     "check_representability",
     "find_zero",
     "reachable_states",
-    "slot_occupants",
-    "slot_occupants_generic",
     "BinRelation",
     "CapacityError",
     "InputError",

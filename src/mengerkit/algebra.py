@@ -146,7 +146,7 @@ class AbstractAlgebra:
         """The reachable word states; raises CapacityError exactly when
         ``reachable_states(self, cap)`` would, also once they are kept."""
         space = self.derived("states", lambda: reachable_states(self, cap=cap))
-        if len(space.states) > cap:
+        if len(space.slots) > cap:
             raise CapacityError(f"state cap {cap} exceeded", count=cap + 1)
         return space
 
@@ -170,15 +170,8 @@ def right_translations(alg: AbstractAlgebra):
 
 @dataclass(frozen=True)
 class WordState:
-    """Reachable state of a composition word: slot occupants plus action.
-
-    ``slots[i]`` is EMPTY when slot i never occurs in the word.  ``word``
-    is the word of the first expansion event of the BFS that reaches the
-    state, a shortest one; ``alt_word`` is the word of the second such
-    event, in the order (parent in BFS order, slot, y), which may come at
-    a later depth, or None when only one event reaches the state.  Every
-    universe build replays both words (``represent._cross_witness_check``).
-    """
+    """A reachable state as a value: occupants, action, and the depth and
+    word of its first event and the word of its second (None: no second)."""
 
     slots: tuple[int, ...]
     action: tuple[int, ...]
@@ -189,52 +182,48 @@ class WordState:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Reachable states in BFS order, plus their occupants and actions as
-    read-only arrays: ``slots[s]`` and ``actions[s]`` belong to
-    ``states[s]``."""
+    """Reachable states in BFS order, the empty word excluded, as three
+    read-only arrays: ``slots[s]`` holds state s's occupants (EMPTY where
+    a slot is untouched), ``actions[s]`` its action, and ``events[s]`` the
+    first and the second expansion event that reach it (-1: none).  An
+    event is parent * n * m + slot * m + y, where parent 0 is the empty
+    word and parent p > 0 is state p - 1; each first event comes from an
+    earlier state, so words are rebuilt by following parent pointers."""
 
-    states: tuple[WordState, ...]  # depth >= 1, BFS order
-    by_slots: dict
-    slots: np.ndarray  # (states, n), EMPTY where a slot is untouched
+    slots: np.ndarray  # (states, n)
     actions: np.ndarray  # (states, m)
+    events: np.ndarray  # (states, 2)
 
+    def word(self, s: int) -> Word:
+        """The word of state s's first event, a shortest one."""
+        return self._word(int(self.events[s, 0]))
 
-def apply_word(alg: AbstractAlgebra, x: int, word: Word) -> int:
-    """Left-to-right fold of the word's steps through the mann tables."""
-    for slot, y in word:
-        x = int(alg.mann[slot, x, y])
-    return x
+    def alt_word(self, s: int) -> Word | None:
+        """The word of state s's second event (maybe deeper), or None."""
+        return None if self.events[s, 1] < 0 else self._word(int(self.events[s, 1]))
 
+    def _word(self, event: int) -> Word:
+        m, steps = self.actions.shape[1], []
+        while event >= 0:  # parent 0, the empty word, has no event
+            parent, step = divmod(event, self.slots.shape[1] * m)
+            steps.append(divmod(step, m))
+            event = int(self.events[parent - 1, 0]) if parent else -1
+        return tuple(reversed(steps))
 
-def slot_occupants_generic(word, n: int, combine) -> tuple:
-    """Per-slot occupants of a word over an arbitrary value space.
-
-    Incremental rule: a step (j, y) maps every occupied slot value v to
-    combine(v, j, y) and fills slot j with y when it was empty.  Works on
-    symbolic values as well as table elements; untouched slots stay EMPTY.
-    """
-    occ = [EMPTY] * n
-    for slot, y in word:
-        for i in range(n):
-            if occ[i] != EMPTY:
-                occ[i] = combine(occ[i], slot, y)
-        if occ[slot] == EMPTY:
-            occ[slot] = y
-    return tuple(occ)
-
-
-def slot_occupants(alg: AbstractAlgebra, word: Word) -> tuple[int, ...]:
-    """Per-slot occupants after performing the word (EMPTY for untouched)."""
-    return slot_occupants_generic(
-        word, alg.arity, lambda v, slot, y: int(alg.mann[slot, v, y]))
+    @property
+    def states(self) -> tuple[WordState, ...]:
+        """Every state as a :class:`WordState`, in BFS order: a view for
+        callers outside the package, built on each access and not kept."""
+        rows = enumerate(zip(self.slots.tolist(), self.actions.tolist()))
+        return tuple(WordState(tuple(occupants), tuple(action), len(word := self.word(s)),
+                               word, self.alt_word(s)) for s, (occupants, action) in rows)
 
 
 def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
     """BFS over word states from the empty word under all one-step
     extensions (slot, y).  State identity is (slots, action); each state
-    keeps the word of the first expansion event that reaches it, a shortest
-    one, and the word of the second one as ``alt_word``.  Events run in
-    the order (parent in BFS order, slot, y).
+    keeps the first and the second expansion event that reach it, events
+    running in the order (parent in BFS order, slot, y) (see StateSpace).
 
     A state is one fixed-width row: n slot entries (EMPTY coded as m),
     then m action entries, in the smallest unsigned dtype that holds m.
@@ -302,31 +291,22 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
         rows[count : len(seen)] = children[fresh]
         start = stop
 
-    return _state_space(n, m, rows[1 : len(seen)], first_event, second_event)
+    rows = rows[1 : len(seen)]  # the empty word is not a state
+    slots = np.where(rows[:, :n] == m, EMPTY, rows[:, :n].astype(np.intp))
+    events = np.stack([first_event, second_event], axis=1)[1:]
+    return StateSpace(_read_only(slots), _read_only(rows[:, n:]), _read_only(events))
 
 
-def _state_space(n: int, m: int, rows: np.ndarray, first_event: array,
-                 second_event: array) -> StateSpace:
-    """The StateSpace of the rows and events of :func:`reachable_states`
-    (``rows`` without the empty word, the events with it), every word
-    rebuilt from parent pointers."""
-    fan = n * m
-    words: list[Word] = [()]  # indexed like the events
-    for event in first_event[1:]:
-        words.append(words[event // fan] + (divmod(event % fan, m),))
-    alts = [None if event < 0 else words[event // fan] + (divmod(event % fan, m),)
-            for event in second_event[1:]]
-    slots = rows[:, :n].astype(np.intp)
-    slots[slots == m] = EMPTY
-    actions = rows[:, n:].astype(np.intp)
-    states = tuple(
-        WordState(tuple(occupants), tuple(action), len(word), word, alt)
-        for occupants, action, word, alt in zip(slots.tolist(), actions.tolist(),
-                                                words[1:], alts))
-    by_slots: dict[tuple, list[WordState]] = {}
-    for state in states:
-        by_slots.setdefault(state.slots, []).append(state)
-    return StateSpace(states, by_slots, _read_only(slots), _read_only(actions))
+def _shared_slots(space: StateSpace) -> tuple[int, int] | None:
+    """The first two states, in BFS order, of the first group of states
+    with equal occupants (groups in order of their first state), or None."""
+    keys = _keys(space.slots)
+    by_key = keys.argsort(kind="stable")  # equal keys stay in BFS order
+    repeats = np.flatnonzero(keys[by_key[1:]] == keys[by_key[:-1]])
+    if not repeats.size:
+        return None
+    i = repeats[by_key[repeats].argmin()]  # the lowest state with a later twin
+    return int(by_key[i]), int(by_key[i + 1])
 
 
 def check_representability(alg: AbstractAlgebra) -> Violation | None:
@@ -337,17 +317,15 @@ def check_representability(alg: AbstractAlgebra) -> Violation | None:
     returned witness carries the two words and an element where the
     actions differ.
     """
-    for group in alg.states().by_slots.values():
-        if len(group) > 1:  # states are distinct, so their actions differ
-            first, other = group[:2]
-            g = next(g for g, (a, b) in enumerate(zip(first.action, other.action))
-                     if a != b)
-            return Violation(
-                "representability",
-                (first.word, other.word, g, first.action[g], other.action[g]),
-                "two words share slot occupants but act differently",
-            )
-    return None
+    space = alg.states()
+    pair = _shared_slots(space)
+    if pair is None:
+        return None
+    (s, t), actions = pair, space.actions
+    (g,) = _first(actions[s] != actions[t])  # distinct states with equal slots
+    witness = (space.word(s), space.word(t), g, int(actions[s, g]), int(actions[t, g]))
+    return Violation("representability", witness,
+                     "two words share slot occupants but act differently")
 
 
 def _axis(k: int, ndim: int, m: int) -> np.ndarray:
@@ -407,7 +385,7 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
     if found is not None:
         s, x = found
         return Violation(
-            "word-superposition", (space.states[s].word, x),
+            "word-superposition", (space.word(s), x),
             "x . word != x[occupants(word)] on a slot-complete word")
     return None
 

@@ -97,7 +97,7 @@ def is_v_negative(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
     where = _first(~below & (space.slots != EMPTY)[:, :, None])
     if where is not None:
         s, j, x = where
-        return Violation("v-negative-word", (space.states[s].word, j + 1, x),
+        return Violation("v-negative-word", (space.word(s), j + 1, x),
                          "x . word not below the slot occupant")
     # so the missing pair is x[ys] below y_i, on menger flavor
     T, args = right_translations(alg)

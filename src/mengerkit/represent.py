@@ -40,24 +40,25 @@ import numpy as np
 from .algebra import (
     EMPTY,
     AbstractAlgebra,
+    StateSpace,
     Violation,
-    WordState,
+    _shared_slots,
     _word_superposition_mismatch,
-    slot_occupants_generic,
 )
 from .bitrel import BinRelation
 from .errors import CapacityError, InputError
 from .relations import is_l_regular, is_v_negative
-from .tables import relations_of_domains
+from .tables import relations_of_domains, row_lookup
 
 BLANK = EMPTY  # placeholder coordinate, only valid at its own slot
 
 # elements in one block of superposition landing points in the homomorphism
 # check: 8 bytes each (intp, which numpy gathers with no per-call index
-# conversion) plus three words for the block's gate and one head's two
-# sides, and three more words and a 1-byte comparison in a step where
-# the two sides' words differ; a word holds value + 1 and one bit per part of the
-# group, 1 byte for a lone part at m < 256 and 2 for 11 parts at m=23
+# conversion; 8 more for their linear index while they are taken) plus three
+# words for the block's gate and one head's two sides, and three more words
+# and a 1-byte comparison in a step where the two sides' words differ; a word
+# holds value + 1 and one bit per part of the group, 1 byte for a lone part
+# at m < 256 and 2 for 11 parts at m=23
 HOM_BLOCK_ELEMENTS = 1 << 22
 # equations in the homomorphism check of one group of parts, n * m**2 +
 # m**(n+1) per universe point: about 7.6 M at m=23, 2.0e8 at m=45 and
@@ -68,33 +69,33 @@ MAX_HOM_EQUATIONS = 1 << 30
 class Universe:
     """Point list with substitution lookups and per-element value table."""
 
-    def __init__(self, n, value_size, points, kind, states=None, values=None,
-                 has_all_tuples=False):
+    def __init__(self, n, value_size, points, kind, values=None, has_all_tuples=False):
         self.n = n
         self.value_size = value_size
         self.points = tuple(points)
         self.kind = kind  # "extended" | "base"
-        self.index = {p: i for i, p in enumerate(self.points)}
-        if len(self.index) != len(self.points):
-            raise InputError("duplicate points in universe")
-        self.states = states or {}
         self.values = values  # (carrier, points) array for extended universes
         self.has_all_tuples = has_all_tuples
-        # subst[p, slot, v]: the point p with coordinate slot set to v, or -1;
-        # v = value_size (or -1) stands for an undefined value and reads -1
-        self.subst = np.array([[[self.index.get(p[:slot] + (v,) + p[slot + 1 :], -1)
-                                 for v in range(value_size)] + [-1] for slot in range(n)]
-                               for p in self.points], dtype=np.intp
-                              ).reshape(len(self.points), n, value_size + 1)
-        # all_index[c]: the all-carrier point c, likewise padded with -1
-        self.all_index = None
+        count, size = len(self.points), value_size
+        rows = np.array(self.points, dtype=np.intp).reshape(count, n)
+        # subst[p, slot, v] is p with coordinate slot set to v, or -1, also at v =
+        # value_size or -1 (undefined): one search finds the points themselves,
+        # these moved points and every all-carrier tuple (for all_index)
+        moved = np.repeat(rows[:, None], n * size, axis=1).reshape(count, n, size, n)
+        moved[:, range(n), :, range(n)] = np.arange(size)
+        tuples = np.indices((size,) * n).reshape(n, -1).T if has_all_tuples else rows[:0]
+        found = row_lookup(rows)(np.concatenate([rows, moved.reshape(-1, n), tuples]))
+        own, subst, all_index = np.split(found, [count, count * (1 + n * size)])
+        if (own != np.arange(count)).any():
+            raise InputError("duplicate points in universe")
+        self.subst = np.full((count, n, size + 1), -1, dtype=np.intp)
+        self.subst[:, :, :-1] = subst.reshape(count, n, size)
+        self.all_index = None  # all_index[c]: the all-carrier point c, padded with -1
         if has_all_tuples:
-            all_index = np.array([self.index.get(c, -1) for c in
-                                  product(range(value_size), repeat=n)], dtype=np.intp)
             if (all_index < 0).any():
                 raise InputError("universe is missing all-tuple points")
-            self.all_index = np.full((value_size + 1,) * n, -1, dtype=np.intp)
-            self.all_index[(slice(value_size),) * n] = all_index.reshape((value_size,) * n)
+            self.all_index = np.full((size + 1,) * n, -1, dtype=np.intp)
+            self.all_index[(slice(size),) * n] = all_index.reshape((size,) * n)
 
     def __len__(self):
         return len(self.points)
@@ -114,53 +115,66 @@ def _build_universe(alg: AbstractAlgebra) -> Universe:
     bullet = alg.flavor == "plain"
     n, m = alg.arity, alg.size
     space = alg.states()
-    for slots, group in space.by_slots.items():
-        if len(group) > 1:
-            raise InputError(
-                "algebra fails the representability implication; "
-                f"occupants {slots} reached with two actions")
+    pair = _shared_slots(space)
+    if pair is not None:
+        raise InputError(
+            "algebra fails the representability implication; "
+            f"occupants {tuple(space.slots[pair[0]].tolist())} reached with two actions")
 
     # on menger flavor the carrier points come first, and a slot-complete
     # state collapses into its carrier point, whose values must agree
-    points, blocks, own = [], [], np.arange(len(space.states))
+    points, blocks, own = [], [], np.arange(len(space.slots))
     if not bullet:
         found = _word_superposition_mismatch(alg, space)
         if found is not None:
             s, g = found
             raise InputError(f"value routes disagree at point "
-                             f"{space.states[s].slots} for element {g}")
+                             f"{tuple(space.slots[s].tolist())} for element {g}")
         points = list(product(range(m), repeat=n))
         blocks = [alg.superposition.reshape(m, m**n)]
         own = np.flatnonzero((space.slots == EMPTY).any(axis=1))
-    points += [space.states[s].slots for s in own] + [(BLANK,) * n]
+    points += [tuple(p) for p in space.slots[own].tolist()] + [(BLANK,) * n]
     values = np.concatenate(blocks + [space.actions[own].T, np.arange(m)[:, None]],
                             axis=1)
-    index = {p: i for i, p in enumerate(points)}
-    states = {index[state.slots]: state for state in space.states}
-
-    _cross_witness_check(alg, states)
-    return Universe(n, m, points, "extended", states=states, values=values,
-                    has_all_tuples=not bullet)
+    _cross_witness_check(alg, space)
+    return Universe(n, m, points, "extended", values=values, has_all_tuples=not bullet)
 
 
-def _cross_witness_check(alg: AbstractAlgebra, states: dict[int, WordState]):
-    """Re-derive point values from the alternative witness word whenever
-    one was recorded; both routes must agree for every element."""
-    mann = alg.mann.tolist()  # Python ints index faster than array scalars
-    for state in states.values():
-        for word in (state.word, state.alt_word):
-            if word is None:
-                continue
-            occupants = slot_occupants_generic(
-                word, alg.arity, lambda v, slot, y: mann[slot][v][y])
-            if occupants != state.slots:
-                raise InputError(f"witness word {word} does not reach {state.slots}")
-            action = range(alg.size)
-            for slot, y in word:
-                action = [mann[slot][v][y] for v in action]
-            if tuple(action) != state.action:
-                raise InputError(
-                    f"witness word {word} disagrees with the recorded action")
+def _cross_witness_check(alg: AbstractAlgebra, space: StateSpace):
+    """Check every expansion event against the tables: its state must be
+    its parent's stepped through its (slot, y), in occupants and action.
+
+    This replays every word and alt word.  The first events must form a
+    tree rooted at the empty word, each from an earlier state; by
+    induction over it, if every first edge holds, every word replays to
+    its own state, and then an alt word, a word plus one step, replays to
+    its state exactly when its edge holds.  First edges are checked first.
+    """
+    n, m, count = alg.arity, alg.size, len(space.slots)
+    tree = space.events[:, 0] // (n * m)  # each state's first parent
+    if ((tree < 0) | (tree > np.arange(count))).any():
+        raise InputError("the first expansion events do not form a tree")
+    events = space.events.T.ravel()  # all first events, then the second ones
+    edge = np.flatnonzero(events >= 0)
+    child = edge % count
+    parent, step = np.divmod(events[edge], n * m)
+    slot, y = (v[:, None] for v in np.divmod(step, m))
+    # row 0 is the empty word, row p > 0 state p - 1, as in the events
+    occupants = np.concatenate([np.full((1, n), EMPTY), space.slots])[parent]
+    actions = np.concatenate([np.arange(m)[None], space.actions])[parent]
+    # an empty slot stays empty, except the step's own, which takes y
+    reached = np.where(occupants == EMPTY, np.where(np.arange(n) == slot, y, EMPTY),
+                       alg.mann[slot, occupants, y])
+    wrong_slots = (reached != space.slots[child]).any(axis=1)
+    wrong = wrong_slots | (alg.mann[slot, actions, y] != space.actions[child]).any(axis=1)
+    if wrong.any():
+        k = wrong.argmax()
+        s = int(child[k])
+        word = space.word(s) if edge[k] < count else space.alt_word(s)
+        if wrong_slots[k]:
+            raise InputError(f"witness word {word} does not reach "
+                             f"{tuple(space.slots[s].tolist())}")
+        raise InputError(f"witness word {word} disagrees with the recorded action")
 
 
 class ReprPart:
@@ -474,13 +488,16 @@ def _superposition_blocks(universe: Universe, values, gates, n):
     def axis(rows, k):  # rows as the k-th argument axis
         return rows.reshape((1,) * k + (len(rows),) + (1,) * (n - 1 - k) + (count,))
 
+    # landing: one take at the values' linear index, where -1 reads the padding
+    radix = universe.value_size + 1
+    coords = values.astype(np.intp) % radix
     trailing = range(1, n)
+    tail = sum((axis(coords * radix ** (n - 1 - k), k) for k in trailing), 0)
     per_row = m ** (n - 1)
     rows = max(1, HOM_BLOCK_ELEMENTS // (per_row * count or 1))
     for start in range(0, m, rows):
         block = slice(start, start + rows)
-        landing = universe.all_index[(axis(values[block], 0),
-                                      *(axis(values, k) for k in trailing))]
+        landing = universe.all_index.take(axis(coords[block] * radix ** (n - 1), 0) + tail)
         gate = None
         if gates is not None:
             gate = axis(gates[block], 0)

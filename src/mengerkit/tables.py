@@ -149,6 +149,22 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
+def row_lookup(rows: np.ndarray):
+    """A function that maps a (k, width) array like the nonempty ``rows``
+    to the index in ``rows`` of each of its rows (one of them where
+    ``rows`` repeats it), or -1 where it is not among them."""
+    keys = _keys(rows)
+    order = np.argsort(keys)
+    ranked = keys[order]
+
+    def find(wanted: np.ndarray) -> np.ndarray:
+        wanted = _keys(wanted)
+        at = np.searchsorted(ranked, wanted).clip(max=len(ranked) - 1)
+        return np.where(ranked[at] == wanted, order[at], -1)
+
+    return find
+
+
 def _function(arity: int, base_size: int, row: np.ndarray) -> PartialFunction:
     return PartialFunction(arity, base_size, tuple(row.tolist()))
 
@@ -229,17 +245,13 @@ class ConcreteAlgebra:
         composite_blocks order, in the smallest unsigned dtype that holds
         m - 1; else (None, (description, composite)) for the first
         composite that is not a member."""
-        keys = _keys(self.table)
-        order = np.argsort(keys)
-        members = keys[order]
-        m = len(members)
-        order = order.astype(np.min_scalar_type(max(m - 1, 0)))
+        find = row_lookup(self.table)
+        m = len(self)
         indices = []
         blocks = composite_blocks(self.table, self.arity, self.base_size, self.flavor)
         for b, block in enumerate(blocks):
-            wanted = _keys(block)
-            at = np.searchsorted(members, wanted).clip(max=max(m - 1, 0))
-            missing = np.flatnonzero(members[at] != wanted)
+            at = find(block)
+            missing = np.flatnonzero(at < 0)
             if missing.size:
                 r, n = int(missing[0]), self.arity
                 if b < n:
@@ -248,7 +260,7 @@ class ConcreteAlgebra:
                     args = " ".join(f"f{a}" for a in np.unravel_index(r, (m,) * n))
                     label = f"f{b - n}[{args}]"
                 return None, (label, _function(n, self.base_size, block[r]))
-            indices.append(order[at])
+            indices.append(at.astype(np.min_scalar_type(max(m - 1, 0))))
         return np.concatenate(indices), None
 
 

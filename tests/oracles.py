@@ -25,9 +25,8 @@ from mengerkit import (
     InputError,
     PartialFunction,
     Violation,
-    WordState,
 )
-from mengerkit.algebra import DEFAULT_STATE_CAP, StateSpace
+from mengerkit.algebra import DEFAULT_STATE_CAP, WordState
 
 DEFAULT_TRANSLATION_CAP = 1_000_000
 
@@ -51,10 +50,40 @@ class Tables:
         return node
 
 
+def apply_word(alg, x, word) -> int:
+    """Left-to-right fold of the word's steps through the mann tables."""
+    for slot, y in word:
+        x = int(alg.mann[slot, x, y])
+    return x
+
+
+def slot_occupants_generic(word, n: int, combine) -> tuple:
+    """Per-slot occupants of a word over an arbitrary value space.
+
+    Incremental rule: a step (j, y) maps every occupied slot value v to
+    combine(v, j, y) and fills slot j with y when it was empty.  Works on
+    symbolic values as well as table elements; untouched slots stay EMPTY.
+    """
+    occ = [EMPTY] * n
+    for slot, y in word:
+        for i in range(n):
+            if occ[i] != EMPTY:
+                occ[i] = combine(occ[i], slot, y)
+        if occ[slot] == EMPTY:
+            occ[slot] = y
+    return tuple(occ)
+
+
+def slot_occupants(alg, word) -> tuple[int, ...]:
+    """Per-slot occupants after performing the word (EMPTY for untouched)."""
+    return slot_occupants_generic(
+        word, alg.arity, lambda v, slot, y: int(alg.mann[slot, v, y]))
+
+
 def slot_occupants_by_first_use(alg, word) -> tuple[int, ...]:
     """Occupants via the first-occurrence formula: the element of the first
     step touching slot i, composed with every later step.  Cross-check
-    oracle for :func:`mengerkit.slot_occupants`."""
+    oracle for :func:`slot_occupants`."""
     mann = alg.mann.tolist()
     occ = [EMPTY] * alg.arity
     for i in range(alg.arity):
@@ -269,10 +298,37 @@ def l_cancellative_by_loops(r, alg):
     return None
 
 
+def universe_tables_by_dict(universe):
+    """(subst, all_index) of a universe by one dict lookup per cell over
+    its point tuples.  Oracle for the tables of
+    :class:`mengerkit.Universe`."""
+    n, size, points = universe.n, universe.value_size, universe.points
+    index = {p: i for i, p in enumerate(points)}
+    subst = np.array([[[index.get(p[:slot] + (v,) + p[slot + 1 :], -1) for v in range(size)]
+                       + [-1] for slot in range(n)] for p in points], dtype=np.intp
+                     ).reshape(len(points), n, size + 1)
+    all_index = None
+    if universe.has_all_tuples:
+        all_index = np.full((size + 1,) * n, -1, dtype=np.intp)
+        for c in product(range(size), repeat=n):
+            all_index[c] = index[c]
+    return subst, all_index
+
+
 def _read_only_intp(rows, width):
     array = np.array(rows, dtype=np.intp).reshape(len(rows), width)
     array.flags.writeable = False
     return array
+
+
+@dataclass(frozen=True)
+class LoopStates:
+    """The states of :func:`reachable_states_by_loops` in BFS order, with
+    their occupants and actions as read-only arrays."""
+
+    states: tuple[WordState, ...]
+    slots: np.ndarray
+    actions: np.ndarray
 
 
 def reachable_states_by_loops(alg, cap=DEFAULT_STATE_CAP):
@@ -312,12 +368,34 @@ def reachable_states_by_loops(alg, cap=DEFAULT_STATE_CAP):
                     candidate = state.word + ((slot, y),)
                     if candidate != known.word:
                         object.__setattr__(known, "alt_word", candidate)
-    by_slots = {}
-    for state in order:
-        by_slots.setdefault(state.slots, []).append(state)
-    return StateSpace(tuple(order), by_slots,
-                      _read_only_intp([state.slots for state in order], n),
+    return LoopStates(tuple(order), _read_only_intp([state.slots for state in order], n),
                       _read_only_intp([state.action for state in order], m))
+
+
+def by_slots(states) -> dict:
+    """The states grouped by their slot occupants, groups in order of
+    their first state and each in BFS order."""
+    groups: dict[tuple, list] = {}
+    for state in states:
+        groups.setdefault(state.slots, []).append(state)
+    return groups
+
+
+def representability_by_groups(alg):
+    """The representability implication read off the loop BFS's states
+    grouped by occupants: the first two states of the first group with
+    two.  Oracle for :func:`mengerkit.check_representability`."""
+    for group in by_slots(loop_states(alg)).values():
+        if len(group) > 1:  # states are distinct, so their actions differ
+            first, other = group[:2]
+            g = next(g for g, (a, b) in enumerate(zip(first.action, other.action))
+                     if a != b)
+            return Violation(
+                "representability",
+                (first.word, other.word, g, first.action[g], other.action[g]),
+                "two words share slot occupants but act differently",
+            )
+    return None
 
 
 def loop_states(alg):

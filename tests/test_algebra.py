@@ -12,17 +12,20 @@ from mengerkit import (
     InputError,
     PartialFunction,
     abstract_from_concrete,
-    apply_word,
     check_associativity,
     check_menger_identities,
     check_representability,
     find_zero,
     generate_concrete,
     reachable_states,
+)
+from oracles import (
+    apply_word,
+    by_slots,
     slot_occupants,
+    slot_occupants_by_first_use,
     slot_occupants_generic,
 )
-from oracles import slot_occupants_by_first_use
 
 
 def assoc_tables_m2():
@@ -136,7 +139,7 @@ def test_one_element_state_space(one_elem):
 
 def test_zero_proj_state_space(zero_proj):
     space = zero_proj.states()
-    state = space.by_slots[(1, EMPTY)][0]
+    state = by_slots(space.states)[(1, EMPTY)][0]
     assert state.action == (0, 1)
     assert state.word == ((0, 1),)
     assert len(space.states) == 8

@@ -240,12 +240,20 @@ def test_oracle_capacity_exit_code(tmp_path):
 
 
 def test_console_entry_point(paths):
+    import os
     import subprocess
     import sys
+
+    import mengerkit
+    # the subprocess imports the same mengerkit package as this test
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(mengerkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                      env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "mengerkit.cli", "check", "--algebra",
          paths["alg"]],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "PASS representability" in result.stdout
 

@@ -21,8 +21,10 @@ from mengerkit import (
     Representation,
     Target,
     abstract_from_concrete,
+    build_universe,
     check_associativity,
     check_menger_identities,
+    check_representability,
     close_under_operations,
     domain_relations,
     generate_concrete,
@@ -40,8 +42,8 @@ from mengerkit import (
     superpose,
     verify_homomorphism,
 )
-from mengerkit import algebra, forge, represent
-from mengerkit.algebra import _mixed_law_violation, _zero_law_violation
+from mengerkit import algebra, fileio, forge, represent
+from mengerkit.algebra import StateSpace, _mixed_law_violation, _zero_law_violation
 from mengerkit.relations import _least_v_negative, _seed_relations
 from mengerkit.represent import ReprPart
 from mengerkit.theorems import TARGET_KINDS
@@ -58,9 +60,11 @@ from oracles import (
     mann_compose_by_cells,
     mixed_law_violation_by_loops,
     reachable_states_by_loops,
+    representability_by_groups,
     representation_relations_by_parts,
     seed_relations_by_loops,
     superpose_by_cells,
+    universe_tables_by_dict,
     v_negative_by_loops,
     zero_law_violation_by_loops,
 )
@@ -110,7 +114,8 @@ def battery_representations(conc):
     return alg, reps
 
 
-def test_battery_representations_match_dense_check(menger_battery, plain_battery):
+def test_battery_representations_match_dense_check(menger_battery, plain_battery,
+                                                    monkeypatch):
     rng = np.random.default_rng(0)
     flagged = 0
     for conc in menger_battery[:8] + plain_battery[:8]:
@@ -124,6 +129,9 @@ def test_battery_representations_match_dense_check(menger_battery, plain_battery
             broken = corrupted(rep, k, g, p)
             violation = verify_homomorphism(broken, alg)
             assert violation == dense_homomorphism_violation(broken, alg)
+            with monkeypatch.context() as patch:
+                single_row_blocks(patch)
+                assert verify_homomorphism(broken, alg) == violation
             flagged += violation is not None
     assert flagged > 100
 
@@ -537,16 +545,18 @@ def bfs_outcome(search, alg, cap):
 
 
 def assert_states_match_loops(alg, caps=True):
-    """Identical states (slots, action, depth, word, alt_word), by_slots key
-    order, read-only arrays and, for caps 1, 10, S - 1 and S, identical
-    CapacityError counts."""
+    """Identical states (slots, action, depth, word, alt_word), through the
+    ``states`` view and through ``word`` and ``alt_word``, read-only arrays
+    and, for caps 1, 10, S - 1 and S, identical CapacityError counts."""
     ours, loops = reachable_states(alg), reachable_states_by_loops(alg)
     assert ([(s.slots, s.action, s.depth, s.word, s.alt_word) for s in ours.states]
             == [(s.slots, s.action, s.depth, s.word, s.alt_word) for s in loops.states])
-    assert list(ours.by_slots) == list(loops.by_slots)
+    assert ([(ours.word(s), ours.alt_word(s)) for s in range(len(ours.slots))]
+            == [(s.word, s.alt_word) for s in loops.states])
     for array, expected in ((ours.slots, loops.slots), (ours.actions, loops.actions)):
         assert array.dtype == expected.dtype and np.array_equal(array, expected)
         assert not array.flags.writeable
+    assert ours.events.shape == (len(ours.slots), 2) and not ours.events.flags.writeable
     count = len(loops.states)
     for cap in sorted({1, 10, count - 1, count}) if caps else ():
         assert (bfs_outcome(reachable_states, alg, cap)
@@ -605,9 +615,100 @@ def test_state_bfs_memory_is_bounded(monkeypatch):
     conc = generate_concrete(GeneratorConfig(arity=3, base_size=2, generator_count=1,
                                              seed=12, flavor="plain", closure_cap=40))
     alg = abstract_from_concrete(conc)
-    # measured 2.7-3.0 MB, 1.8 MB of which is the returned states (the loop
+    # measured 1.9 MB, 0.5 MB of which is the returned states (the loop
     # BFS peaks at 2.4 MB)
     assert states_peak(alg) < 5 * 2**20
     # one block per BFS level, unbounded: 6.7 MB
     monkeypatch.setattr(algebra, "STATE_BLOCK_CHILDREN", 1 << 40)
     assert states_peak(alg) > 5 * 2**20
+
+
+def test_state_space_holds_arrays_only():
+    alg = abstract_from_concrete(generate_concrete(CATALOGUE[4]))  # plain22
+    tracemalloc.start()
+    try:
+        space = reachable_states(alg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(space.slots) == 2326
+    # measured 0.48 MB: the slots, actions and events arrays; with a word
+    # object per state it was 1.9 MB
+    assert held < 0.6 * 2**20
+
+
+# -- representability and the universe against their reference versions ----
+
+
+def test_representability_matches_grouped_states(menger_battery, plain_battery, m18):
+    alg, _ = m18
+    rng = np.random.default_rng(18)
+    algebras = [abstract_from_concrete(conc) for conc in menger_battery + plain_battery]
+    # the ninth seeded perturbation reaches 54452 states, too many for the
+    # loop search here
+    algebras += [perturbed(alg, rng) for _ in range(8)]
+    flagged = 0
+    for algebra in algebras:
+        violation = check_representability(algebra)
+        assert violation == representability_by_groups(algebra)
+        flagged += violation is not None
+    assert flagged == 2
+
+
+def with_events(alg, events):
+    """A copy of alg whose state space carries the given events."""
+    copy = AbstractAlgebra(alg.arity, alg.size, alg.mann, alg.superposition, alg.zero,
+                           alg.flavor)
+    space = alg.states()
+    copy.derived("states", lambda: StateSpace(space.slots, space.actions, events))
+    return copy
+
+
+def test_cross_witness_check_rejects_corrupted_events(m18):
+    alg, _ = m18
+    events = alg.states().events
+    assert len(build_universe(with_events(alg, events))) == len(build_universe(alg))
+    s = int(np.flatnonzero(events[:, 1] >= 0)[-1])
+    for column in (0, 1):  # another y in the last state's event
+        corrupt = np.array(events)
+        corrupt[s, column] += 1 if corrupt[s, column] % alg.size == 0 else -1
+        with pytest.raises(InputError, match="witness word"):
+            build_universe(with_events(alg, corrupt))
+    corrupt = np.array(events)
+    corrupt[0, 0] += alg.arity * alg.size  # state 0 from itself
+    with pytest.raises(InputError, match="do not form a tree"):
+        build_universe(with_events(alg, corrupt))
+
+
+def assert_universe_tables_match_dict(universe):
+    subst, all_index = universe_tables_by_dict(universe)
+    assert universe.subst.dtype == subst.dtype and np.array_equal(universe.subst, subst)
+    if all_index is None:
+        assert universe.all_index is None
+    else:
+        assert np.array_equal(universe.all_index, all_index)
+
+
+def test_universe_tables_match_dict_lookups(menger_battery, plain_battery, m18):
+    for conc in menger_battery[:40] + plain_battery[:30]:
+        assert_universe_tables_match_dict(build_universe(abstract_from_concrete(conc)))
+        assert_universe_tables_match_dict(identity_representation(conc).parts[0].universe)
+    assert_universe_tables_match_dict(
+        build_universe(abstract_from_concrete(generate_concrete(CATALOGUE[4]))))  # plain22
+    # a loaded extended universe without every third non-carrier point:
+    # some substitutions land on no point
+    alg, rep = m18
+    doc = fileio.representation_to_doc(rep)
+    part = doc["parts"][0]
+    count = len(part["points"])
+    keep = [p for p in range(count) if p % 3 or p < alg.size**2]
+    part["points"] = [part["points"][p] for p in keep]
+    part["assignment"] = [[row[p] for p in keep] for row in part["assignment"]]
+    universe = fileio.representation_from_doc(doc).parts[0].universe
+    assert universe.has_all_tuples and (universe.subst[:, :, :-1] < 0).any()
+    assert_universe_tables_match_dict(universe)
+    part["points"].append(part["points"][-2])
+    for row in part["assignment"]:
+        row.append(None)
+    with pytest.raises(InputError, match="duplicate points"):
+        fileio.representation_from_doc(doc)

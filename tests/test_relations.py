@@ -7,7 +7,6 @@ from mengerkit import (
     BinRelation,
     InputError,
     abstract_from_concrete,
-    apply_word,
     build_closure,
     check_compatibility,
     check_word_system,
@@ -17,10 +16,9 @@ from mengerkit import (
     is_v_negative,
     is_zero_quasi_equivalence,
     seed_relations,
-    slot_occupants,
 )
 from mengerkit.relations import _one_step_relation
-from oracles import inner_translations, sup_at
+from oracles import apply_word, inner_translations, slot_occupants, sup_at
 
 
 def rel(size, pairs):

@@ -21,6 +21,8 @@ from mengerkit import (
     verify_homomorphism,
 )
 
+from oracles import representability_by_groups
+
 
 def rel(size, pairs):
     return BinRelation.from_pairs(size, pairs)
@@ -50,9 +52,10 @@ def test_blank_point_always_present(zero_proj_plain):
 def test_bullet_universe_only_has_realizable_points(zero_proj_plain):
     universe = build_universe(zero_proj_plain)
     blank = (EMPTY, EMPTY)
-    for idx, point in enumerate(universe.points):
+    reached = {tuple(row) for row in zero_proj_plain.states().slots.tolist()}
+    for point in universe.points:
         if point != blank:
-            assert idx in universe.states
+            assert point in reached
 
 
 def test_universe_rejects_non_representable():
@@ -75,6 +78,7 @@ def test_universe_rejects_non_representable():
         if bad:
             break
     assert bad is not None
+    assert check_representability(bad) == representability_by_groups(bad)
     with pytest.raises(InputError):
         build_universe(bad)
 
