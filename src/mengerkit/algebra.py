@@ -338,7 +338,11 @@ def _first(diff: np.ndarray) -> tuple[int, ...] | None:
     k = int(diff.argmax()) if diff.size else 0
     if not diff.size or not diff.item(k):
         return None
-    return tuple(int(v) for v in np.unravel_index(k, diff.shape))
+    where = []
+    for extent in reversed(diff.shape):  # np.unravel_index costs more per call
+        k, i = divmod(k, extent)
+        where.append(i)
+    return tuple(reversed(where))
 
 
 def check_associativity(alg: AbstractAlgebra) -> Violation | None:

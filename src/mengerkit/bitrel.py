@@ -1,119 +1,129 @@
-"""Binary relations on {0..m-1} stored as bitset rows.
+"""Binary relations on {0..m-1} stored as one read-only (m, m) bool array.
 
-Row ``a`` is an int whose bit ``b`` is set iff the pair (a, b) is in the
-relation, i.e. rows are indexed by the first coordinate.  All operations
-return new relations; instances are immutable.
+``matrix[a, b]`` is True iff the pair (a, b) is in the relation, i.e. rows
+are indexed by the first coordinate.  Every operation is one array
+expression and returns a new relation; the array is never written once
+wrapped, so relations are immutable and may share it (a transpose is a
+view).
 
 Composition has one order: ``r.then(s)`` chains left to right, relating a
 to c when (a,b) is in r and (b,c) is in s.
+
+Bitset rows, one int per first coordinate whose bit b stands for the pair
+(a, b), are an exchange format only: ``BinRelation(size, rows)`` reads
+them and the ``rows`` property computes them on access; nothing keeps
+them.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product.  numpy's bool matmul has no BLAS kernel: it
+    is the faster one below m = 16, and falls behind beyond that, where
+    float32 path counts, exact below 2**24, take the BLAS kernel."""
+    if len(a) < 16:
+        return a @ b
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
-@dataclass(frozen=True)
 class BinRelation:
-    size: int
-    rows: tuple[int, ...]
-    # set on first use of ``matrix``; a field rather than a cached property,
-    # which would add an instance attribute and slow every ``rows`` read
-    _matrix: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    __slots__ = ("matrix", "size")
 
-    def __post_init__(self):
-        if len(self.rows) != self.size:
-            raise InputError(f"relation has {len(self.rows)} rows, expected {self.size}")
-        full = (1 << self.size) - 1
-        for a, row in enumerate(self.rows):
-            if row & ~full:
-                raise InputError(f"relation row {a} references elements >= {self.size}")
+    def __init__(self, size: int, rows):
+        """The relation of bitset rows (see the module docstring)."""
+        if len(rows) != size:
+            raise InputError(f"relation has {len(rows)} rows, expected {size}")
+        width = (size + 7) // 8
+        raw = bytearray()
+        for a, row in enumerate(rows):
+            row = operator.index(row)
+            if row < 0 or row >> size:
+                raise InputError(f"relation row {a} references elements >= {size}")
+            raw += row.to_bytes(width, "little")
+        packed = np.frombuffer(bytes(raw), dtype=np.uint8).reshape(size, width)
+        matrix = np.unpackbits(packed, axis=1, count=size, bitorder="little").view(bool)
+        matrix.setflags(write=False)
+        self.matrix, self.size = matrix, size
+
+    @classmethod
+    def _of(cls, matrix: np.ndarray) -> BinRelation:
+        """Wrap a square bool array that no one else writes."""
+        matrix.setflags(write=False)
+        r = object.__new__(cls)
+        r.matrix, r.size = matrix, len(matrix)
+        return r
 
     # -- construction ------------------------------------------------
 
     @staticmethod
     def empty(size: int) -> BinRelation:
-        return BinRelation(size, (0,) * size)
+        return BinRelation._of(np.zeros((size, size), dtype=bool))
 
     @staticmethod
     def diagonal(size: int) -> BinRelation:
-        return BinRelation(size, tuple(1 << a for a in range(size)))
+        return BinRelation._of(np.eye(size, dtype=bool))
 
     @staticmethod
     def full(size: int) -> BinRelation:
-        row = (1 << size) - 1
-        return BinRelation(size, (row,) * size)
+        return BinRelation._of(np.ones((size, size), dtype=bool))
 
     @staticmethod
     def from_pairs(size: int, pairs) -> BinRelation:
-        rows = [0] * size
+        matrix = np.zeros((size, size), dtype=bool)
         for a, b in pairs:
             a, b = operator.index(a), operator.index(b)  # numpy ints, not floats
             if not (0 <= a < size and 0 <= b < size):
                 raise InputError(f"pair ({a}, {b}) out of range for size {size}")
-            rows[a] |= 1 << b
-        return BinRelation(size, tuple(rows))
+            matrix[a, b] = True
+        return BinRelation._of(matrix)
 
     @staticmethod
-    def from_matrix(matrix) -> BinRelation:
-        size = len(matrix)
-        for a, line in enumerate(matrix):
-            if len(line) != size:
-                raise InputError(f"matrix row {a} has length {len(line)}, expected {size}")
-            for b, cell in enumerate(line):
-                if cell not in (0, 1, True, False):
-                    raise InputError(f"matrix[{a}][{b}] must be 0 or 1")
-        return BinRelation.from_array(np.array(matrix, dtype=bool).reshape(size, size))
-
-    @staticmethod
-    def from_array(matrix: np.ndarray) -> BinRelation:
-        """The relation of an (m, m) bool array, rows by first coordinate."""
-        packed = np.packbits(matrix, axis=1, bitorder="little")
-        return BinRelation(len(matrix), tuple(int.from_bytes(row.tobytes(), "little")
-                                              for row in packed))
+    def from_array(matrix) -> BinRelation:
+        """The relation of a square array, rows by first coordinate, whose
+        nonzero entries are the pairs; the array is copied."""
+        matrix = np.array(matrix, dtype=bool)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise InputError(f"relation array must be square, got shape {matrix.shape}")
+        return BinRelation._of(matrix)
 
     # -- queries -----------------------------------------------------
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """The bitset rows, made afresh on each access."""
+        packed = np.packbits(self.matrix, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
     def contains(self, a: int, b: int) -> bool:
-        return bool(self.rows[a] >> b & 1)
+        return bool(self.matrix[a, b])
 
     def pairs(self):
-        for a, row in enumerate(self.rows):
-            for b in _bits(row):
-                yield (a, b)
+        """The pairs as Python ints, in row-major order."""
+        a, b = np.nonzero(self.matrix)
+        return zip(a.tolist(), b.tolist())
 
     def count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
+        return int(np.count_nonzero(self.matrix))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The relation as a read-only (m, m) bool array, rows by first
-        coordinate; made on first use and kept, since rows never change."""
-        if self._matrix is None:
-            width = (self.size + 7) // 8
-            raw = b"".join(row.to_bytes(width, "little") for row in self.rows)
-            packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.size, width)
-            matrix = np.unpackbits(packed, axis=1, count=self.size,
-                                   bitorder="little").view(bool)
-            matrix.flags.writeable = False
-            object.__setattr__(self, "_matrix", matrix)
-        return self._matrix
+    def __eq__(self, other):
+        if not isinstance(other, BinRelation):
+            return NotImplemented
+        # bytes compare in a fraction of np.array_equal's per-call cost
+        return (self.matrix.shape == other.matrix.shape
+                and self.matrix.tobytes() == other.matrix.tobytes())
 
-    def to_matrix(self) -> list[list[int]]:
-        return [[(row >> b) & 1 for b in range(self.size)] for row in self.rows]
+    def __hash__(self):
+        return hash((self.size, self.matrix.tobytes()))
+
+    def __repr__(self):
+        return f"BinRelation({self.size}, {self.rows})"
 
     # -- boolean algebra ----------------------------------------------
 
@@ -123,68 +133,52 @@ class BinRelation:
 
     def __and__(self, other: BinRelation) -> BinRelation:
         self._check_size(other)
-        return BinRelation(self.size, tuple(a & b for a, b in zip(self.rows, other.rows)))
+        return BinRelation._of(self.matrix & other.matrix)
 
     def __or__(self, other: BinRelation) -> BinRelation:
         self._check_size(other)
-        return BinRelation(self.size, tuple(a | b for a, b in zip(self.rows, other.rows)))
+        return BinRelation._of(self.matrix | other.matrix)
 
     def issubset(self, other: BinRelation) -> bool:
         self._check_size(other)
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
+        # as in __eq__, bytes beat a numpy reduction on small carriers
+        return (self.matrix & other.matrix).tobytes() == self.matrix.tobytes()
 
     def transpose(self) -> BinRelation:
-        rows = [0] * self.size
-        for a, row in enumerate(self.rows):
-            for b in _bits(row):
-                rows[b] |= 1 << a
-        return BinRelation(self.size, tuple(rows))
+        return BinRelation._of(self.matrix.T)
 
     # -- composition and closures --------------------------------------
 
     def then(self, other: BinRelation) -> BinRelation:
         """Left-to-right chaining: (a,c) iff (a,b) in self and (b,c) in other."""
         self._check_size(other)
-        rows = []
-        for row in self.rows:
-            acc = 0
-            for b in _bits(row):
-                acc |= other.rows[b]
-            rows.append(acc)
-        return BinRelation(self.size, tuple(rows))
+        return BinRelation._of(_product(self.matrix, other.matrix))
 
     def reflexive_closure(self) -> BinRelation:
-        return self | BinRelation.diagonal(self.size)
+        return BinRelation._of(self.matrix | np.eye(self.size, dtype=bool))
 
     def transitive_closure(self) -> BinRelation:
-        # Warshall on bitset rows.
-        rows = list(self.rows)
-        for k in range(self.size):
-            bit = 1 << k
-            row_k = rows[k]
-            for a in range(self.size):
-                if rows[a] & bit:
-                    rows[a] |= row_k
-        return BinRelation(self.size, tuple(rows))
+        # after k rounds of squaring every chain of up to 2**k steps is in
+        closure = self.matrix
+        while True:
+            grown = closure | _product(closure, closure)
+            if grown.tobytes() == closure.tobytes():
+                return BinRelation._of(grown)
+            closure = grown
 
     # -- properties ----------------------------------------------------
 
     def is_reflexive(self) -> bool:
-        return all(row >> a & 1 for a, row in enumerate(self.rows))
+        return int(np.count_nonzero(self.matrix.diagonal())) == self.size
 
     def is_symmetric(self) -> bool:
-        return self == self.transpose()
+        return self.matrix.tobytes() == self.matrix.T.tobytes()
 
     def is_transitive(self) -> bool:
-        for a, row in enumerate(self.rows):
-            for b in _bits(row):
-                if self.rows[b] & ~row:
-                    return False
-        return True
+        return self.then(self).issubset(self)
 
     def is_quasi_order(self) -> bool:
         return self.is_reflexive() and self.is_transitive()
 
     def is_equivalence(self) -> bool:
         return self.is_quasi_order() and self.is_symmetric()
-

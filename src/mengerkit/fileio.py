@@ -189,7 +189,8 @@ def algebra_from_doc(doc: dict):
 
 
 def relation_to_doc(r: BinRelation) -> dict:
-    return {"format": RELATION_FORMAT, "size": r.size, "matrix": r.to_matrix()}
+    return {"format": RELATION_FORMAT, "size": r.size,
+            "matrix": r.matrix.astype(int).tolist()}
 
 
 def relation_from_doc(doc: dict) -> BinRelation:
@@ -198,11 +199,15 @@ def relation_from_doc(doc: dict) -> BinRelation:
     _reject_unknown(doc, {"format", "size", "matrix"}, where)
     size = _int(doc, "size", where)
     matrix = _list(doc, "matrix", where)
-    if any(type(row) is not list for row in matrix):
-        raise InputError(f"{where}: matrix must be a list of rows")
     if len(matrix) != size:
         raise InputError(f"{where}: matrix has {len(matrix)} rows, expected {size}")
-    return BinRelation.from_matrix(matrix)
+    for a, row in enumerate(matrix):
+        # integers 0 and 1 only: booleans and floats are not entries
+        if type(row) is not list or len(row) != size or any(
+                type(v) is not int or v not in (0, 1) for v in row):
+            raise InputError(f"{where}: matrix row {a} must be a list of "
+                             f"{size} entries, each 0 or 1")
+    return BinRelation.from_array(np.array(matrix, dtype=bool).reshape(size, size))
 
 
 # -- representation files ------------------------------------------------

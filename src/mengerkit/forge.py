@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .bitrel import BinRelation
 from .errors import CapacityError, InputError
 from .relations import is_l_regular
@@ -101,10 +103,13 @@ def enumerate_relations(m: int, which: str, alg=None):
     if which in ("all", "quasi_orders"):
         if m > 4:
             raise CapacityError(f"relation enumeration capped at m <= 4, got {m}")
+        diagonal = sum(1 << (a * m + a) for a in range(m))
         for mask in range(1 << (m * m)):
+            if which == "quasi_orders" and mask & diagonal != diagonal:
+                continue  # not reflexive, so no relation is built for it
             rows = tuple((mask >> (a * m)) & ((1 << m) - 1) for a in range(m))
             r = BinRelation(m, rows)
-            if which == "quasi_orders" and not r.is_quasi_order():
+            if which == "quasi_orders" and not r.is_transitive():
                 continue
             yield r
         return
@@ -113,11 +118,7 @@ def enumerate_relations(m: int, which: str, alg=None):
     if which == "l_regular_equivalences" and alg is None:
         raise InputError("l_regular_equivalences needs the algebra")
     for blocks in _partitions(m):
-        rows = tuple(
-            sum(1 << b for b in range(m) if blocks[b] == blocks[a])
-            for a in range(m)
-        )
-        r = BinRelation(m, rows)
+        r = BinRelation.from_array(np.equal.outer(blocks, blocks))
         if which == "l_regular_equivalences" and is_l_regular(r, alg) is not None:
             continue
         yield r

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EMPTY, AbstractAlgebra, Violation, _first, right_translations
-from .bitrel import BinRelation
+from .bitrel import BinRelation, _product
 from .errors import InputError
 
 CLOSURE_KINDS = ("chi_pi", "chi0", "chi_pi_bullet", "chi0_bullet")
@@ -57,16 +57,18 @@ def is_zero_quasi_equivalence(r: BinRelation, alg: AbstractAlgebra) -> Violation
     """Symmetric, and reflexive away from the zero: fully reflexive when
     the zero occurs as a first coordinate (or when there is no zero)."""
     _check_sized(r, alg)
-    for a, (row, flipped) in enumerate(zip(r.rows, r.transpose().rows)):
-        missing = row & ~flipped
-        if missing:
-            b = (missing & -missing).bit_length() - 1
-            return Violation("symmetry", (a, b), "pair present, flip missing")
+    R = r.matrix
+    if not r.is_symmetric():
+        return Violation("symmetry", _first(R & ~R.T), "pair present, flip missing")
+    if r.is_reflexive():
+        return None
+    missing = ~R.diagonal()
     zero = alg.zero_element()
-    exempt = zero if zero is not None and not r.rows[zero] else None
-    for g in range(r.size):
-        if g != exempt and not r.contains(g, g):
-            return Violation("reflexivity", (g,), "diagonal pair missing")
+    if zero is not None and not R[zero].any():
+        missing[zero] = False
+    where = _first(missing)
+    if where is not None:
+        return Violation("reflexivity", where, "diagonal pair missing")
     return None
 
 
@@ -194,25 +196,23 @@ def build_closure(alg: AbstractAlgebra, kind: str,
 
 def check_compatibility(chi: BinRelation, gamma: BinRelation) -> Violation | None:
     """Overlapping elements must keep overlapping above themselves:
-    h1 gamma h2 with h1 chi g1 and h2 chi g2 forces g1 gamma g2."""
+    h1 gamma h2 with h1 chi g1 and h2 chi g2 forces g1 gamma g2, that is
+    chi^T ; gamma ; chi within gamma.  The witness is the least failing
+    (h1, h2, g1, g2) in lexicographic order."""
     if chi.size != gamma.size:
         raise InputError(f"relation size mismatch: {chi.size} vs {gamma.size}")
-    for h1 in range(gamma.size):
-        row_h1 = gamma.rows[h1]
-        if not row_h1:
-            continue
-        for h2 in range(gamma.size):
-            if not (row_h1 >> h2 & 1):
-                continue
-            for g1 in range(chi.size):
-                if not chi.contains(h1, g1):
-                    continue
-                missing = chi.rows[h2] & ~gamma.rows[g1]
-                if missing:
-                    g2 = (missing & -missing).bit_length() - 1
-                    return Violation("compatibility", (h1, h2, g1, g2),
-                                     "premise holds, g1 gamma g2 missing")
-    return None
+    X, G = chi.matrix, gamma.matrix
+    escapes = _product(X, ~G.T)  # [h2, g1]: some g2 above h2 misses g1
+    # [h1, h2]: a gamma pair with some g1 above h1 that escapes h2, which is
+    # empty exactly when chi^T ; gamma ; chi lies within gamma
+    where = _first(G & _product(X, escapes.T))
+    if where is None:
+        return None
+    h1, h2 = where
+    (g1,) = _first(X[h1] & escapes[h2])
+    (g2,) = _first(X[h2] & ~G[g1])
+    return Violation("compatibility", (h1, h2, g1, g2),
+                     "premise holds, g1 gamma g2 missing")
 
 
 @dataclass(frozen=True)
@@ -226,21 +226,13 @@ class WordSystemViolation:
 
 def _find_path(r: BinRelation, powers: list[BinRelation], start: int,
                end: int, length: int) -> list[int]:
-    """A chain of ``length`` r-steps from start to end; assumes one exists."""
+    """The least chain of ``length`` r-steps from start to end, step by
+    step; assumes one exists."""
     path = [start]
-    current = start
-    for remaining in range(length, 0, -1):
-        if remaining == 1:
-            path.append(end)
-            break
-        for mid in range(r.size):
-            if r.contains(current, mid) and powers[remaining - 1].contains(mid, end):
-                path.append(mid)
-                current = mid
-                break
-        else:
-            raise AssertionError("path reconstruction failed")
-    return path
+    for remaining in range(length - 1, 0, -1):
+        (mid,) = _first(r.matrix[path[-1]] & powers[remaining].matrix[:, end])
+        path.append(mid)
+    return path + [end] if length else path
 
 
 def check_word_system(alg: AbstractAlgebra, system: str, n_bound: int,
@@ -268,6 +260,8 @@ def check_word_system(alg: AbstractAlgebra, system: str, n_bound: int,
         kind = "chi0_bullet" if bullet else "chi0"
     if base in ("B", "C") and gamma is None:
         raise InputError(f"word system {system!r} requires gamma")
+    if n_bound < 1 or m_bound < 1:
+        raise InputError(f"word-system bounds must be at least 1, got {n_bound},{m_bound}")
 
     r = _one_step_relation(alg, kind, pi)
     powers = [BinRelation.diagonal(alg.size)]
@@ -276,62 +270,41 @@ def check_word_system(alg: AbstractAlgebra, system: str, n_bound: int,
 
     if base == "A":
         for nn in range(1, n_bound + 1):
-            back = powers[nn - 1]
-            for x0 in range(alg.size):
-                for x1 in range(alg.size):
-                    if r.contains(x0, x1) and back.contains(x1, x0) \
-                            and not pi.contains(x0, x1):
-                        chain = tuple(_find_path(r, powers, x0, x1, 1)
-                                      + _find_path(r, powers, x1, x0, nn - 1)[1:])
-                        return WordSystemViolation(
-                            system, nn, None, chain,
-                            "cycle pair not pi-related")
+            where = _first(r.matrix & powers[nn - 1].matrix.T & ~pi.matrix)
+            if where is not None:
+                x0, x1 = where
+                chain = tuple(_find_path(r, powers, x0, x1, 1)
+                              + _find_path(r, powers, x1, x0, nn - 1)[1:])
+                return WordSystemViolation(system, nn, None, chain,
+                                           "cycle pair not pi-related")
         return None
 
+    G = gamma.matrix
     for nn in range(1, n_bound + 1):
         down = powers[nn]
+        D = down.matrix
         for mm in range(1, m_bound + 1):
             across = powers[mm]
-            premise = down.transpose().then(gamma).then(across)
+            A = across.matrix
             if base == "B":
                 # conclusion pairs the two chain ends
-                for xn in range(alg.size):
-                    bad = premise.rows[xn] & ~gamma.rows[xn]
-                    if bad:
-                        xlast = (bad & -bad).bit_length() - 1
-                        x0, xnp1 = _premise_witness(down, gamma, across, xn, xlast)
-                        chain = (tuple(_find_path(r, powers, x0, xn, nn)),
-                                 tuple(_find_path(r, powers, xnp1, xlast, mm)))
-                        return WordSystemViolation(
-                            system, nn, mm, (x0, xn, xnp1, xlast) + chain,
-                            "gamma fails on chain ends")
+                premise = down.transpose().then(gamma).then(across)
+                where = _first(premise.matrix & ~G)
+                if where is not None:
+                    xn, xlast = where
+                    x0, xnp1 = _first(D[:, xn, None] & G & A[None, :, xlast])
+                    detail = "gamma fails on chain ends"
             else:
                 # conclusion pairs the first chain's head with the second end
                 via = gamma.then(across)
-                for x0 in range(alg.size):
-                    if not down.rows[x0]:
-                        continue
-                    bad = via.rows[x0] & ~gamma.rows[x0]
-                    if bad:
-                        xlast = (bad & -bad).bit_length() - 1
-                        xn = (down.rows[x0] & -down.rows[x0]).bit_length() - 1
-                        for xnp1 in range(alg.size):
-                            if gamma.contains(x0, xnp1) and across.contains(xnp1, xlast):
-                                break
-                        chain = (tuple(_find_path(r, powers, x0, xn, nn)),
-                                 tuple(_find_path(r, powers, xnp1, xlast, mm)))
-                        return WordSystemViolation(
-                            system, nn, mm, (x0, xn, xnp1, xlast) + chain,
-                            "gamma fails from first chain head")
+                where = _first(D.any(axis=1)[:, None] & via.matrix & ~G)
+                if where is not None:
+                    x0, xlast = where
+                    (xn,), (xnp1,) = _first(D[x0]), _first(G[x0] & A[:, xlast])
+                    detail = "gamma fails from first chain head"
+            if where is not None:
+                chain = (tuple(_find_path(r, powers, x0, xn, nn)),
+                         tuple(_find_path(r, powers, xnp1, xlast, mm)))
+                return WordSystemViolation(
+                    system, nn, mm, (x0, xn, xnp1, xlast) + chain, detail)
     return None
-
-
-def _premise_witness(down: BinRelation, gamma: BinRelation, across: BinRelation,
-                     xn: int, xlast: int) -> tuple[int, int]:
-    for x0 in range(down.size):
-        if not down.contains(x0, xn):
-            continue
-        for xnp1 in range(down.size):
-            if gamma.contains(x0, xnp1) and across.contains(xnp1, xlast):
-                return x0, xnp1
-    raise AssertionError("premise witness not found")

@@ -64,6 +64,10 @@ HOM_BLOCK_ELEMENTS = 1 << 22
 # m**(n+1) per universe point: about 7.6 M at m=23, 2.0e8 at m=45 and
 # 2.4e10 at m=118 (n=2), which is refused
 MAX_HOM_EQUATIONS = 1 << 30
+# intp cells of a universe's substitution tables, points * n * (n*m + m + 1)
+# for the moved points and subst: 7.7 M for the 11 881-point universe at
+# m=108 (n=2); 1.3 G (10 GB) at DEFAULT_STATE_CAP states there is refused
+MAX_UNIVERSE_CELLS = 1 << 26
 
 
 class Universe:
@@ -77,6 +81,10 @@ class Universe:
         self.values = values  # (carrier, points) array for extended universes
         self.has_all_tuples = has_all_tuples
         count, size = len(self.points), value_size
+        cells = count * n * (n * size + size + 1)
+        if cells > MAX_UNIVERSE_CELLS:
+            raise CapacityError(f"universe of {count} points needs {cells} substitution "
+                                f"cells, over the cap of {MAX_UNIVERSE_CELLS}", count=cells)
         rows = np.array(self.points, dtype=np.intp).reshape(count, n)
         # subst[p, slot, v] is p with coordinate slot set to v, or -1, also at v =
         # value_size or -1 (undefined): one search finds the points themselves,
@@ -232,26 +240,23 @@ def build_representation(alg: AbstractAlgebra, chi: BinRelation, mode) -> Repres
 
 
 def _anchored_parts(universe: Universe, chi: BinRelation, anchors) -> tuple[ReprPart, ...]:
-    """One part per distinct anchor mask chi.rows[h1] | chi.rows[h2], in
-    order of first use, labelled by every anchor pair that gives it.
+    """One part per distinct anchor row chi[h1] | chi[h2], in order of
+    first use, labelled by every anchor pair that gives it.
 
-    The mask decides the part, and two masks never give the same part:
-    the blank point's column of ``universe.values`` is arange(m), so a
-    part's blank column is the mask itself (v where bit v is set, -1
-    elsewhere).  Grouping by mask therefore yields the parts, order and
+    The row decides the part, and two rows never give the same part: the
+    blank point's column of ``universe.values`` is arange(m), so a part's
+    blank column is the row itself (v where chi[h1, v] or chi[h2, v] holds,
+    -1 elsewhere).  Grouping by row therefore yields the parts, order and
     labels that building every pair's part and deduplicating would.
     """
-    labels_by_mask: dict[int, list[str]] = {}
+    by_row: dict[bytes, tuple[np.ndarray, list[str]]] = {}
     for h1, h2 in anchors:
         label = f"point({h1})" if h1 == h2 else f"pair({h1},{h2})"
-        labels_by_mask.setdefault(chi.rows[h1] | chi.rows[h2], []).append(label)
+        allowed = chi.matrix[h1] | chi.matrix[h2]
+        by_row.setdefault(allowed.tobytes(), (allowed, []))[1].append(label)
     values = universe.values
-    parts = []
-    for mask, labels in labels_by_mask.items():
-        allowed = np.array([bool(mask >> v & 1) for v in range(chi.size)])
-        assign = np.where(allowed[values], values, -1)
-        parts.append(ReprPart(universe, assign, labels))
-    return tuple(parts)
+    return tuple(ReprPart(universe, np.where(allowed[values], values, -1), labels)
+                 for allowed, labels in by_row.values())
 
 
 def _dedupe(parts):
@@ -269,7 +274,7 @@ def _dedupe(parts):
 def sum_over_pairs(alg: AbstractAlgebra, chi: BinRelation,
                    gamma: BinRelation) -> Representation:
     """Sum of one anchored part per related pair of gamma, in pair order;
-    pairs with the same anchor mask share one part (see _anchored_parts)."""
+    pairs with the same anchor row share one part (see _anchored_parts)."""
     _validate_chi(alg, chi)
     if gamma.size != alg.size:
         raise InputError("gamma size does not match carrier")

@@ -333,6 +333,8 @@ def word_system_crosscheck(alg: AbstractAlgebra, pi: BinRelation | None,
     failure forces an exact failure.  Any divergence flags an
     implementation bug.
     """
+    if n_bound < 1 or m_bound < 1:
+        raise InputError(f"word-system bounds must be at least 1, got {n_bound},{m_bound}")
     plain = alg.flavor == "plain"
     suffix = "_bullet" if plain else ""
     report = {"systems": {}, "divergence": False}

@@ -27,6 +27,7 @@ from mengerkit import (
     Violation,
 )
 from mengerkit.algebra import DEFAULT_STATE_CAP, WordState
+from mengerkit.relations import WordSystemViolation, _one_step_relation
 
 DEFAULT_TRANSLATION_CAP = 1_000_000
 
@@ -601,6 +602,175 @@ def representation_relations_by_parts(rep):
         dom = part.assign >= 0
         inside = ~np.any(dom[:, None, :] & ~dom[None, :, :], axis=2)
         overlap = np.any(dom[:, None, :] & dom[None, :, :], axis=2)
-        chi = chi & BinRelation.from_matrix(inside.tolist())
-        gamma = gamma | BinRelation.from_matrix(overlap.tolist())
+        chi = chi & BinRelation.from_array(inside)
+        gamma = gamma | BinRelation.from_array(overlap)
     return chi, gamma, chi & chi.transpose()
+
+
+# -- relations as bitset rows ---------------------------------------------
+#
+# The relation algebra and the relation conditions computed on Python-int
+# rows (bit b of row a for the pair (a, b)), one bit at a time.  They read
+# a relation only through its ``rows`` exchange format, so they share no
+# array code with the library.
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def transpose_by_bits(r):
+    rows = [0] * r.size
+    for a, row in enumerate(r.rows):
+        for b in _bits(row):
+            rows[b] |= 1 << a
+    return BinRelation(r.size, tuple(rows))
+
+
+def then_by_bits(r, s):
+    other = s.rows
+    rows = []
+    for row in r.rows:
+        acc = 0
+        for b in _bits(row):
+            acc |= other[b]
+        rows.append(acc)
+    return BinRelation(r.size, tuple(rows))
+
+
+def transitive_closure_by_bits(r):
+    """Warshall on bitset rows."""
+    rows = list(r.rows)
+    for k in range(r.size):
+        bit, row_k = 1 << k, rows[k]
+        for a in range(r.size):
+            if rows[a] & bit:
+                rows[a] |= row_k
+    return BinRelation(r.size, tuple(rows))
+
+
+def relation_flags_by_bits(r) -> dict[str, bool]:
+    rows = r.rows
+    transitive = all(not rows[b] & ~row for row in rows for b in _bits(row))
+    return {
+        "reflexive": all(row >> a & 1 for a, row in enumerate(rows)),
+        "symmetric": rows == transpose_by_bits(r).rows,
+        "transitive": transitive,
+    }
+
+
+def zero_quasi_equivalence_by_bits(r, alg):
+    rows = r.rows
+    for a, (row, flipped) in enumerate(zip(rows, transpose_by_bits(r).rows)):
+        missing = row & ~flipped
+        if missing:
+            return Violation("symmetry", (a, _lowest(missing)), "pair present, flip missing")
+    zero = alg.zero_element()
+    exempt = zero if zero is not None and not rows[zero] else None
+    for g in range(r.size):
+        if g != exempt and not rows[g] >> g & 1:
+            return Violation("reflexivity", (g,), "diagonal pair missing")
+    return None
+
+
+def compatibility_by_bits(chi, gamma):
+    """First (h1, h2, g1, g2) in loop order with h1 gamma h2, h1 chi g1,
+    h2 chi g2 and not g1 gamma g2."""
+    chi_rows, gamma_rows = chi.rows, gamma.rows
+    for h1, row_h1 in enumerate(gamma_rows):
+        for h2 in _bits(row_h1):
+            for g1 in _bits(chi_rows[h1]):
+                missing = chi_rows[h2] & ~gamma_rows[g1]
+                if missing:
+                    return Violation("compatibility", (h1, h2, g1, _lowest(missing)),
+                                     "premise holds, g1 gamma g2 missing")
+    return None
+
+
+def _path_by_bits(r_rows, powers, start, end, length):
+    path, current = [start], start
+    for remaining in range(length, 0, -1):
+        if remaining == 1:
+            path.append(end)
+            break
+        for mid in _bits(r_rows[current]):
+            if powers[remaining - 1][mid] >> end & 1:
+                path.append(mid)
+                current = mid
+                break
+        else:
+            raise AssertionError("path reconstruction failed")
+    return path
+
+
+def word_system_by_bits(alg, system, n_bound, m_bound, pi=None, gamma=None):
+    """The truncated chain systems by loops over bitset rows, on the
+    library's one-step relation; preconditions are the caller's."""
+    bullet, base = system.endswith("bullet"), system[0]
+    kind = ("chi_pi" if base in ("A", "B") else "chi0") + ("_bullet" if bullet else "")
+    r = _one_step_relation(alg, kind, pi)
+    m, r_rows = alg.size, r.rows
+    powers = [tuple(1 << a for a in range(m))]
+    for _ in range(max(n_bound, m_bound)):
+        powers.append(then_by_bits(BinRelation(m, powers[-1]), r).rows)
+
+    def path(start, end, length):
+        return _path_by_bits(r_rows, powers, start, end, length)
+
+    if base == "A":
+        pi_rows = pi.rows
+        for nn in range(1, n_bound + 1):
+            back = powers[nn - 1]
+            for x0 in range(m):
+                for x1 in _bits(r_rows[x0]):
+                    if back[x1] >> x0 & 1 and not pi_rows[x0] >> x1 & 1:
+                        chain = tuple(path(x0, x1, 1) + path(x1, x0, nn - 1)[1:])
+                        return WordSystemViolation(system, nn, None, chain,
+                                                   "cycle pair not pi-related")
+        return None
+
+    g_rows = gamma.rows
+    for nn in range(1, n_bound + 1):
+        down = powers[nn]
+        for mm in range(1, m_bound + 1):
+            across = powers[mm]
+            for first in range(m):
+                if base == "B":
+                    # first is the first chain's end xn
+                    heads = [x0 for x0 in range(m) if down[x0] >> first & 1]
+                    reach = 0
+                    for x0 in heads:
+                        for xnp1 in _bits(g_rows[x0]):
+                            reach |= across[xnp1]
+                    bad = reach & ~g_rows[first]
+                    if not bad:
+                        continue
+                    xn, xlast = first, _lowest(bad)
+                    x0, xnp1 = next((x0, xnp1) for x0 in heads for xnp1 in _bits(g_rows[x0])
+                                    if across[xnp1] >> xlast & 1)
+                    detail = "gamma fails on chain ends"
+                else:
+                    # first is the first chain's head x0
+                    if not down[first]:
+                        continue
+                    reach = 0
+                    for xnp1 in _bits(g_rows[first]):
+                        reach |= across[xnp1]
+                    bad = reach & ~g_rows[first]
+                    if not bad:
+                        continue
+                    x0, xlast, xn = first, _lowest(bad), _lowest(down[first])
+                    xnp1 = next(xnp1 for xnp1 in _bits(g_rows[x0])
+                                if across[xnp1] >> xlast & 1)
+                    detail = "gamma fails from first chain head"
+                chain = (tuple(path(x0, xn, nn)), tuple(path(xnp1, xlast, mm)))
+                return WordSystemViolation(system, nn, mm,
+                                           (x0, xn, xnp1, xlast) + chain, detail)
+    return None

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from mengerkit import BinRelation, InputError, is_l_regular
+from oracles import (
+    relation_flags_by_bits,
+    then_by_bits,
+    transitive_closure_by_bits,
+    transpose_by_bits,
+)
 
 
 def rel(size, pairs):
@@ -82,11 +88,21 @@ def test_out_of_range_pair_rejected():
 
 
 @st.composite
-def relations(draw, max_size=5):
-    size = draw(st.integers(1, max_size))
-    mask = draw(st.integers(0, (1 << (size * size)) - 1))
-    rows = tuple((mask >> (a * size)) & ((1 << size) - 1) for a in range(size))
-    return BinRelation(size, rows)
+def relations(draw, size=None):
+    """A relation of up to 5 elements, or of 70 (wider than a 64-bit word)
+    with a few pairs per row."""
+    if size is None:
+        size = draw(st.sampled_from([1, 2, 3, 4, 5, 70]))
+    row = st.integers(0, (1 << size) - 1) if size <= 5 else st.builds(
+        lambda bits: sum(1 << b for b in bits),
+        st.frozensets(st.integers(0, size - 1), max_size=3))
+    return BinRelation(size, tuple(draw(row) for _ in range(size)))
+
+
+@st.composite
+def relation_pairs(draw):
+    a = draw(relations())
+    return a, draw(relations(a.size))
 
 
 @given(relations())
@@ -97,15 +113,14 @@ def test_transitive_closure_matches_power_union(r):
         expected = expected | power
         power = power.then(r)
     closure = r.transitive_closure()
-    assert closure == expected
+    assert closure == expected == transitive_closure_by_bits(r)
     assert closure.is_transitive()
     assert r.issubset(closure)
 
 
-@given(relations(), relations())
-def test_then_is_relational_composition(a, b):
-    if a.size != b.size:
-        return
+@given(relation_pairs())
+def test_then_is_relational_composition(pair):
+    a, b = pair
     expected = {
         (x, z)
         for x, y in a.pairs()
@@ -113,7 +128,18 @@ def test_then_is_relational_composition(a, b):
         if y == y2
     }
     assert set(a.then(b).pairs()) == expected
+    assert a.then(b) == then_by_bits(a, b)
 
+
+@given(relations())
+def test_transpose_and_flags_match_bits(r):
+    assert r.transpose() == transpose_by_bits(r)
+    flags = relation_flags_by_bits(r)
+    assert {k: relation_flags(r)[k] for k in flags} == flags
+    # Python bools, which reports serialize
+    assert all(type(v) is bool for v in relation_flags(r).values())
+    assert BinRelation(r.size, r.rows) == r
+    assert r.count() == sum(row.bit_count() for row in r.rows)
 
 
 def test_from_pairs_takes_numpy_ints(zero_proj):
@@ -128,8 +154,18 @@ def test_from_pairs_takes_numpy_ints(zero_proj):
 
 def test_matrix_is_kept_and_read_only():
     r = rel(3, [(0, 2), (1, 1)])
-    assert r.matrix is r.matrix
-    assert r.matrix.tolist() == [[bool(v) for v in row] for row in r.to_matrix()]
+    assert r.rows == (0b100, 0b010, 0)
+    assert r.matrix.tolist() == [[False, False, True], [False, True, False],
+                                 [False, False, False]]
     with pytest.raises(ValueError):
         r.matrix[0, 0] = True
-    assert BinRelation.from_array(r.matrix) == r
+    with pytest.raises(ValueError):
+        r.transpose().matrix[0, 0] = True
+    source = r.matrix.copy()
+    copied = BinRelation.from_array(source)
+    source[0, 0] = True
+    assert copied == r
+    with pytest.raises(InputError):
+        BinRelation.from_array(np.zeros((2, 3), dtype=bool))
+    with pytest.raises(InputError):
+        BinRelation(2, (0b100, 0))

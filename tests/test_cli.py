@@ -8,6 +8,7 @@ from mengerkit import (
     ConcreteAlgebra,
     GeneratorConfig,
     Target,
+    abstract_from_concrete,
     build_closure,
     build_universe,
     domain_relations,
@@ -119,6 +120,30 @@ def test_verify_over_the_equation_cap_exits_3(paths, zero_proj, zero_proj_concre
     assert f"homomorphism check of {count} equations" in capsys.readouterr().err
     monkeypatch.setattr(represent, "MAX_HOM_EQUATIONS", count)
     assert main(argv) == 0
+
+
+def test_universe_over_the_cell_cap_exits_3(paths, zero_proj, zero_proj_concrete,
+                                            monkeypatch, capsys):
+    cells = len(build_universe(zero_proj)) * 2 * (2 * 2 + 2 + 1)  # n=2, m=2
+    argv = ["represent", "--algebra", paths["conc"], "--chi", paths["chi"],
+            "--point-all", "--out", str(paths["dir"] / "rep.json")]
+    monkeypatch.setattr(represent, "MAX_UNIVERSE_CELLS", cells - 1)
+    with pytest.raises(CapacityError) as err:
+        build_universe(abstract_from_concrete(zero_proj_concrete))
+    assert err.value.count == cells
+    assert main(argv) == 3
+    assert f"needs {cells} substitution cells" in capsys.readouterr().err
+    monkeypatch.setattr(represent, "MAX_UNIVERSE_CELLS", cells)
+    assert main(argv) == 0
+
+
+def test_verify_rejects_bounds_below_one(paths, capsys):
+    argv = ["verify", "--algebra", paths["conc"], "--target", "triplet",
+            "--chi", paths["chi"], "--gamma", paths["gamma"], "--pi", paths["pi"]]
+    for bounds in ("--bounds=-2,-5", "--bounds=0,4", "--bounds=4,0"):
+        assert main(argv + [bounds]) == 2
+        assert "bounds must be at least 1" in capsys.readouterr().err
+    assert main(argv + ["--bounds=1,1"]) == 0
 
 
 def test_classify_reports_conditions(paths, capsys):

@@ -84,10 +84,16 @@ def test_malformed_matrix_rejected():
     doc = {"format": "mengerkit-relation-v1", "size": 2, "matrix": [[1, 0]]}
     with pytest.raises(InputError):
         relation_from_doc(doc)
-    doc = {"format": "mengerkit-relation-v1", "size": 2,
-           "matrix": [[1, 2], [0, 0]]}
-    with pytest.raises(InputError):
-        relation_from_doc(doc)
+    # entries are the integers 0 and 1: not 2, floats, booleans or null
+    for bad in (2, 1.0, 0.0, True, False, None):
+        doc = {"format": "mengerkit-relation-v1", "size": 2,
+               "matrix": [[1, bad], [0, 0]]}
+        with pytest.raises(InputError):
+            relation_from_doc(doc)
+    for rows in ([[1, 0], [0]], [[1, 0], 5], [[1, 0], [0, 0, 1]]):
+        doc = {"format": "mengerkit-relation-v1", "size": 2, "matrix": rows}
+        with pytest.raises(InputError):
+            relation_from_doc(doc)
 
 
 def test_wrong_format_tag_rejected():

@@ -325,7 +325,7 @@ def relation_cases(alg, conc, rng, count=4):
     cases += [BinRelation.diagonal(m), BinRelation.full(m)]
     for _ in range(count):
         matrix = rng.random((m, m)) < rng.uniform(0.3, 0.95)
-        cases.append(BinRelation.from_matrix(matrix.astype(int).tolist()))
+        cases.append(BinRelation.from_array(matrix))
     least = list(_least_v_negative(alg).pairs())
     a, b = least[rng.integers(len(least))]
     cases.append(BinRelation.from_pairs(m, [p for p in least if p != (a, b)]))

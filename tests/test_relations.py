@@ -1,5 +1,8 @@
 from itertools import product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from mengerkit import (
@@ -10,15 +13,25 @@ from mengerkit import (
     build_closure,
     check_compatibility,
     check_word_system,
+    domain_relations,
     enumerate_relations,
     is_l_cancellative,
     is_l_regular,
     is_v_negative,
     is_zero_quasi_equivalence,
     seed_relations,
+    word_system_crosscheck,
 )
-from mengerkit.relations import _one_step_relation
-from oracles import apply_word, inner_translations, slot_occupants, sup_at
+from mengerkit.relations import WORD_SYSTEMS, _one_step_relation
+from oracles import (
+    apply_word,
+    compatibility_by_bits,
+    inner_translations,
+    slot_occupants,
+    sup_at,
+    word_system_by_bits,
+    zero_quasi_equivalence_by_bits,
+)
 
 
 def rel(size, pairs):
@@ -283,6 +296,71 @@ def test_compatibility_counterexample(zero_proj):
     assert gamma.contains(h1, h2)
     assert chi.contains(h1, g1) and chi.contains(h2, g2)
     assert not gamma.contains(g1, g2)
+
+
+def test_compatibility_witness_is_least_quadruple():
+    # h1 = 0 fails only at (g1, g2) = (2, 3), while the first failing pair
+    # of chi^T ; gamma ; chi in row-major order, (0, 1), comes from h1 = 1
+    chi = rel(4, [(0, 2), (0, 3), (1, 0), (1, 1)])
+    gamma = rel(4, [(0, 0), (1, 1), (2, 2), (3, 3), (3, 2)])
+    failing = chi.transpose().then(gamma).then(chi).matrix & ~gamma.matrix
+    assert next(zip(*np.nonzero(failing))) == (0, 1)
+    violation = check_compatibility(chi, gamma)
+    assert violation.witness == (0, 0, 2, 3)
+    assert violation == compatibility_by_bits(chi, gamma)
+
+
+def random_relation(seed: int, m: int, density: float) -> BinRelation:
+    return BinRelation.from_array(np.random.default_rng(seed).random((m, m)) < density)
+
+
+DENSITIES = st.sampled_from([0.05, 0.3, 0.7, 0.95])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5, 12, 70]), st.integers(0, 2**32 - 1), DENSITIES, DENSITIES)
+def test_compatibility_matches_bits(m, seed, chi_density, gamma_density):
+    chi = random_relation(seed, m, chi_density).reflexive_closure()
+    gamma = random_relation(seed + 1, m, gamma_density)
+    assert check_compatibility(chi, gamma) == compatibility_by_bits(chi, gamma)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 149), st.integers(0, 2**32 - 1), DENSITIES, st.booleans())
+def test_zero_quasi_equivalence_matches_bits(menger_battery, plain_battery,
+                                             index, seed, density, symmetric):
+    conc = (menger_battery[:100] + plain_battery[:50])[index]
+    alg = abstract_from_concrete(conc)
+    r = random_relation(seed, alg.size, density)
+    if symmetric:
+        r = r | r.transpose()
+    assert is_zero_quasi_equivalence(r, alg) == zero_quasi_equivalence_by_bits(r, alg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 149), st.sampled_from(WORD_SYSTEMS), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 2**32 - 1), DENSITIES, st.booleans())
+def test_word_systems_match_bits(menger_battery, plain_battery, index, system,
+                                 n_bound, m_bound, seed, density, realized):
+    conc = (menger_battery[:100] + plain_battery[:50])[index]
+    alg = abstract_from_concrete(conc)
+    if alg.flavor == "plain" and not system.endswith("bullet"):
+        system += "_bullet"
+    m = alg.size
+    # the realized relations, which satisfy the conditions, or random ones
+    _, gamma, pi = domain_relations(conc) if realized else (
+        None, random_relation(seed, m, density), random_relation(seed + 1, m, density))
+    expected = word_system_by_bits(alg, system, n_bound, m_bound, pi=pi, gamma=gamma)
+    assert check_word_system(alg, system, n_bound, m_bound, pi=pi, gamma=gamma) == expected
+
+
+def test_word_system_bounds_below_one_rejected(zero_proj):
+    diag = BinRelation.diagonal(2)
+    for bounds in ((0, 4), (4, 0), (-2, -5)):
+        with pytest.raises(InputError):
+            check_word_system(zero_proj, "A", *bounds, pi=diag)
+        with pytest.raises(InputError):
+            word_system_crosscheck(zero_proj, diag, diag, *bounds)
 
 
 def test_compatibility_size_mismatch(zero_proj):
