@@ -31,6 +31,19 @@ DEFAULT_STATE_CAP = 2_000_000
 # n + m bytes (m < 256), the row again among the sorted keys, and an
 # 8-byte sort index
 STATE_BLOCK_CHILDREN = 1 << 14
+# equations in one pass of the equation scan and of the word identity, and
+# landing entries in one block of arguments.  A pass holds its two sides
+# and, on a group of parts, a 1-byte comparison; a side takes 1 byte per
+# equation at m < 256 (a value, or value + 1 in a lone part) and 2 for 11
+# parts at m=23 (value + 1 above one bit per part).  A block holds its
+# landing entries, 8 bytes each (intp, which numpy gathers with no per-call
+# index conversion), twice while they are summed, and on a group its gate.
+BLOCK_ELEMENTS = 1 << 20
+# equations one phase of check_menger_identities compares: m**(n+1) per
+# distinct superassociativity column (69 columns, 6.3 M at m=45; 625, 3.3e8
+# at m=81; 5488, 6.9e9 at m=108, which is refused), and 2 * n * m**(n+2)
+# for the mixed laws (1.7e8 at m=81, 5.4e8 at m=108)
+MAX_MENGER_EQUATIONS = 1 << 30
 
 Word = tuple[tuple[int, int], ...]  # ((slot, element), ...), slots 0-based
 
@@ -361,26 +374,18 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
     """Menger-flavor compatibility laws of superposition with the slot
     compositions: superassociativity, both mixed identities, and the
     slot-complete word identity (checked on every reachable state whose
-    occupants are all carrier elements)."""
+    occupants are all carrier elements).
+
+    Every phase compares its equations in passes of at most
+    BLOCK_ELEMENTS.  Superassociativity (m**(n+1) equations per distinct
+    column, see _superassociativity_violation) and the mixed laws
+    (2 * n * m**(n+2)) each raise CapacityError, naming the phase and its
+    count, before their first pass when the count is over
+    MAX_MENGER_EQUATIONS; the word identity compares m equations per
+    slot-complete state, which the state cap bounds."""
     if alg.flavor != "menger":
         raise InputError("menger identities require menger flavor")
-    n, m = alg.arity, alg.size
-
-    # superassociativity x0[x1..xn][ys] = x0[x1[ys] .. xn[ys]], one head x0
-    # at a time over the axes (xs, ys) of argument tuples in table order
-    T, args = right_translations(alg)
-    rows = T[:, n * m :]  # rows[x, k] = x[args[k]]
-    # inner[j, k]: the row of args holding (x1[ys] .. xn[ys]) for
-    # xs = args[j] and ys = args[k]
-    inner = (rows[args] * m ** np.arange(n - 1, -1, -1)[:, None]).sum(axis=1)
-    for x0 in range(m):
-        where = _first(rows[rows[x0]] != rows[x0][inner])
-        if where is not None:
-            xs, ys = (tuple(int(v) for v in args[k]) for k in where)
-            return Violation("superassociativity", ((x0, *xs), ys),
-                             "x0[x1..xn][y1..yn] != x0[x1[y..] .. xn[y..]]")
-
-    violation = _mixed_law_violation(alg)
+    violation = _superassociativity_violation(alg) or _mixed_law_violation(alg)
     if violation is not None:
         return violation
 
@@ -394,42 +399,187 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
     return None
 
 
+def _check_menger_cap(phase: str, count: int):
+    if count > MAX_MENGER_EQUATIONS:
+        raise CapacityError(f"Menger identities: {phase} of {count} equations exceeds "
+                            f"the cap {MAX_MENGER_EQUATIONS}", count=count)
+
+
+def distinct_columns(table: np.ndarray) -> np.ndarray:
+    """The first column of each class of equal columns of a 2-D table,
+    ascending: class c, numbered by first occurrence, starts at column
+    reps[c], and no class starts before a lower-numbered one."""
+    keys = _keys(table.T)
+    by_key = keys.argsort(kind="stable")  # equal columns stay in order
+    ranked = keys[by_key]
+    starts = np.ones(len(keys), bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    return np.sort(by_key[starts])
+
+
+def fold_arguments(table: np.ndarray, n: int, start: int, stop: int, combine) -> np.ndarray:
+    """combine(..combine(table[a_1], table[a_2]).., table[a_n]), column by
+    column, for the argument tuples a = (a_1..a_n) with a_1 in
+    start..stop-1, in lexicographic order: shape ((stop - start) *
+    m**(n-1), columns) for an (m, columns) table."""
+    width, folded = table.shape[1], None
+    for k in range(n):
+        rows = table[start:stop] if k == 0 else table
+        rows = rows.reshape((1,) * k + (len(rows),) + (1,) * (n - 1 - k) + (width,))
+        folded = rows if folded is None else combine(folded, rows)
+    return folded.reshape(-1, width)
+
+
+def tuple_index(coords: np.ndarray, n: int, radix: int, start: int, stop: int) -> np.ndarray:
+    """The linear index, in radix ``radix``, of each argument tuple's
+    column of coords (see fold_arguments); coords is an intp table with
+    entries below radix."""
+    return fold_arguments(coords, n, start, stop, lambda index, c: index * radix + c)
+
+
+def scan_equations(heads: np.ndarray, left: np.ndarray, right: np.ndarray, land,
+                   low: int = 0):
+    """(failing bits, first failing (h, a, c) or None) of the equations
+
+        left[heads[h, a], c] == right[h, landing[a, c]] & gate[a, c]
+
+    for every head h (a row of ``heads``), argument a (a column of
+    ``heads``: m**k argument tuples, lexicographic, so each leading
+    argument owns a run of m**(k-1)) and column c of ``left``.  Column c
+    is a map of the carrier, a point's words or an argument tuple's values;
+    the left side is that map at the composite heads[h, a], and the right
+    side is h's entry of ``right`` where the argument values land.
+    ``land(start, stop)`` returns (landing, gate) for the arguments whose
+    leading one is in start..stop-1, each (arguments, columns); a gate of
+    None is all ones.
+
+    Blocks of leading arguments hold at most BLOCK_ELEMENTS landing
+    entries, and each pass takes as many heads of its block as keep its
+    two sides within BLOCK_ELEMENTS; with m**k * columns * m under that,
+    the scan is one pass.
+
+    With ``low`` 0 an equation fails exactly where x = (right & gate) ^
+    left is nonzero, and the scan stops at the first failing equation in
+    the order (h, a, c): a failure at head h in one block is the first of
+    all heads <= h there, and a later block can only hold an earlier one at
+    a smaller head, so later blocks check only those.  With domain bits
+    ``low`` (see represent._scan) it returns the OR of every equation's
+    fail word and no witness.
+
+    Columns may stand for classes.  Where every equation depends on its
+    member (a point, or an argument tuple) only through the member's
+    column, a caller passes one column per class of members with equal
+    columns, numbered by first occurrence (distinct_columns).  The failing
+    members at (h, a) are then the union of the failing classes, and the
+    first of them is the first member of the lowest-numbered failing
+    class.  So the first failing (h, a, c) gives the first failing
+    (h, a, member) over all members, and every distinct equation is still
+    compared."""
+    m, width = heads.shape
+    per_row, columns = width // m, left.shape[1]
+    rows = max(1, BLOCK_ELEMENTS // (per_row * columns or 1))
+    failing, found, last = 0, None, m
+    for start in range(0, m, rows):
+        landing, gate = land(start, min(m, start + rows))
+        first = start * per_row
+        arguments = slice(first, first + len(landing))
+        chunk = max(1, BLOCK_ELEMENTS // (landing.size or 1))
+        for h in range(0, last, chunk):
+            lhs = left[heads[h : min(last, h + chunk), arguments]]
+            x = right[h : h + len(lhs)].take(landing, axis=1)
+            if gate is not None:
+                x &= gate
+            x ^= lhs
+            if not x.any():
+                continue
+            if not low:
+                head, a, c = _first(x != 0)
+                found, last = (h + head, first + a, c), h + head
+                break
+            differ = x > low  # the values differ
+            x &= low  # bL ^ bR
+            lhs &= low  # bL
+            lhs *= differ
+            x |= lhs
+            failing |= int(np.bitwise_or.reduce(x, axis=None))
+    return failing, found
+
+
+def _superassociativity_violation(alg: AbstractAlgebra) -> Violation | None:
+    """First failure of x0[x1..xn][ys] = x0[x1[ys] .. xn[ys]], in
+    lexicographic order of (x0, xs, ys).
+
+    With c the column x -> x[ys] of the superposition table, the law reads
+    c(x0[xs]) = x0[c(x1) .. c(xn)], so it depends on ys only through c:
+    scan_equations checks it once per distinct column, with the table as
+    heads and right side, and the first failing (x0, xs, class) names the
+    first failing ys, the first tuple of its class."""
+    n, m = alg.arity, alg.size
+    heads = alg.superposition.reshape(m, m**n)  # heads[x, k]: x at the k-th tuple
+    values = heads.astype(np.min_scalar_type(m - 1))
+    reps = distinct_columns(values)
+    _check_menger_cap("superassociativity", len(reps) * m ** (n + 1))
+    coords = heads[:, reps]
+    _, found = scan_equations(heads, values[:, reps], values,
+                              lambda start, stop: (tuple_index(coords, n, m, start, stop),
+                                                   None))
+    if found is None:
+        return None
+    x0, k, c = found
+    xs, ys = (tuple(int(v) for v in np.unravel_index(j, (m,) * n)) for j in (k, reps[c]))
+    return Violation("superassociativity", ((x0, *xs), ys),
+                     "x0[x1..xn][y1..yn] != x0[x1[y..] .. xn[y..]]")
+
+
 def _word_superposition_mismatch(alg: AbstractAlgebra,
                                  space: StateSpace) -> tuple[int, int] | None:
     """First (state index, x), in BFS order, with x . word != x[occupants]
-    on a slot-complete state."""
+    on a slot-complete state, BLOCK_ELEMENTS entries per pass."""
     complete = np.flatnonzero((space.slots != EMPTY).all(axis=1))
-    slots = space.slots[complete]
-    routed = alg.superposition[(_axis(1, 2, alg.size), *slots.T[:, :, None])]
-    where = _first(space.actions[complete] != routed)
-    return None if where is None else (int(complete[where[0]]), where[1])
+    x, rows = _axis(1, 2, alg.size), max(1, BLOCK_ELEMENTS // alg.size)
+    for start in range(0, len(complete), rows):
+        block = complete[start : start + rows]
+        routed = alg.superposition[(x, *space.slots[block].T[:, :, None])]
+        where = _first(space.actions[block] != routed)
+        if where is not None:
+            return int(block[where[0]]), where[1]
+    return None
 
 
 def _mixed_law_violation(alg: AbstractAlgebra) -> Violation | None:
     """First failure of the two mixed laws, slot by slot, each over all
-    instantiations in lexicographic order of its witness:
-    slot-into-superposition (x *i y)[z1..zn] = x[z1.. y[z1..zn] ..zn] and
-    superposition-into-slot x[y1..yn] *i z = x[y1 *i z .. yn *i z]."""
+    instantiations in lexicographic order of its witness, both by
+    scan_equations with the superposition table as right side:
+
+    - slot-into-superposition (x *i y)[z1..zn] = x[z1.. y[z1..zn] ..zn],
+      witness (x, y, zs): head x, argument y, and one column per zs, the
+      column c -> c[zs]; y's argument lands at zs with slot i set to y[zs];
+    - superposition-into-slot x[y1..yn] *i z = x[y1 *i z .. yn *i z],
+      witness (x, ys, z): head x, arguments ys, and one column per z, the
+      right translation c -> c *i z; ys lands at (y1 *i z .. yn *i z)."""
     n, m = alg.arity, alg.size
-    S = alg.superposition
-    # grid[k] runs over the carrier along axis k of an (n + 2)-axis grid
-    grid = [_axis(k, n + 2, m) for k in range(n + 2)]
+    _check_menger_cap("mixed laws", 2 * n * m ** (n + 2))
+    dtype = np.min_scalar_type(m - 1)
+    heads = alg.superposition.reshape(m, m**n)
+    values = heads.astype(dtype)
+    tuples = np.arange(m**n)
     for slot, M in enumerate(alg.mann):
-        x, y, zs = grid[0], grid[1], grid[2:]  # witness (x, y, z1..zn)
-        where = _first(S[(M[x, y], *zs)]
-                       != S[(x, *zs[:slot], S[(y, *zs)], *zs[slot + 1 :])])
-        if where is not None:
-            x, y, *zs = where
-            return Violation(
-                f"slot-into-superposition:{slot + 1}", (x, y, tuple(zs)),
-                "(x *i y)[z..] != x[z.. y[z..] ..z]")
-        x, ys, z = grid[0], grid[1 : n + 1], grid[n + 1]  # witness (x, y1..yn, z)
-        where = _first(M[S[(x, *ys)], z] != S[(x, *(M[y, z] for y in ys))])
-        if where is not None:
-            x, *ys, z = where
-            return Violation(
-                f"superposition-into-slot:{slot + 1}", (x, tuple(ys), z),
-                "x[y..] *i z != x[y1 *i z .. yn *i z]")
+        weight = m ** (n - 1 - slot)
+        base = tuples - tuples // weight % m * weight  # zs with slot i cleared
+        _, found = scan_equations(M, values, values, lambda start, stop: (
+            base + heads[start:stop] * weight, None))
+        if found is not None:
+            x, y, k = found
+            zs = tuple(int(v) for v in np.unravel_index(k, (m,) * n))
+            return Violation(f"slot-into-superposition:{slot + 1}", (x, y, zs),
+                             "(x *i y)[z..] != x[z.. y[z..] ..z]")
+        _, found = scan_equations(heads, M.astype(dtype), values, lambda start, stop: (
+            tuple_index(M, n, m, start, stop), None))
+        if found is not None:
+            x, k, z = found
+            ys = tuple(int(v) for v in np.unravel_index(k, (m,) * n))
+            return Violation(f"superposition-into-slot:{slot + 1}", (x, ys, z),
+                             "x[y..] *i z != x[y1 *i z .. yn *i z]")
     return None
 
 

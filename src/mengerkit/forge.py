@@ -103,12 +103,14 @@ def enumerate_relations(m: int, which: str, alg=None):
     if which in ("all", "quasi_orders"):
         if m > 4:
             raise CapacityError(f"relation enumeration capped at m <= 4, got {m}")
-        diagonal = sum(1 << (a * m + a) for a in range(m))
-        for mask in range(1 << (m * m)):
-            if which == "quasi_orders" and mask & diagonal != diagonal:
-                continue  # not reflexive, so no relation is built for it
-            rows = tuple((mask >> (a * m)) & ((1 << m) - 1) for a in range(m))
-            r = BinRelation(m, rows)
+        # mask bit a * m + b is the pair (a, b)
+        masks = np.arange(1 << (m * m), dtype=np.uint32)[:, None]
+        matrices = (masks >> np.arange(m * m, dtype=np.uint32) & 1).astype(bool)
+        matrices = matrices.reshape(len(masks), m, m)
+        if which == "quasi_orders":  # no relation is built for a non-reflexive mask
+            matrices = matrices[matrices[:, range(m), range(m)].all(axis=1)]
+        for matrix in matrices:
+            r = BinRelation.from_array(matrix)
             if which == "quasi_orders" and not r.is_transitive():
                 continue
             yield r

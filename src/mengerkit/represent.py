@@ -22,8 +22,9 @@ Sums concatenate part lists; the component universes stay disjoint, so
 the domain relations of a sum are those of its parts' domains laid side
 by side: inclusion and equality hold in every part, overlap in some part.
 
-The homomorphism check compares both sides of every equation in every
-part.  The parts of a canonical sum share one universe and differ only
+The homomorphism check compares every distinct equation in every part,
+superposition equations once per class of points with equal word columns.
+The parts of a canonical sum share one universe and differ only
 in their domains, so consecutive parts over one universe that agree
 wherever two of them are defined are checked as one group: one value
 table, one domain bit per part, and one pass over the equations for all
@@ -44,6 +45,10 @@ from .algebra import (
     Violation,
     _shared_slots,
     _word_superposition_mismatch,
+    distinct_columns,
+    fold_arguments,
+    scan_equations,
+    tuple_index,
 )
 from .bitrel import BinRelation
 from .errors import CapacityError, InputError
@@ -52,17 +57,11 @@ from .tables import relations_of_domains, row_lookup
 
 BLANK = EMPTY  # placeholder coordinate, only valid at its own slot
 
-# elements in one block of superposition landing points in the homomorphism
-# check: 8 bytes each (intp, which numpy gathers with no per-call index
-# conversion; 8 more for their linear index while they are taken) plus three
-# words for the block's gate and one head's two sides, and three more words
-# and a 1-byte comparison in a step where the two sides' words differ; a word
-# holds value + 1 and one bit per part of the group, 1 byte for a lone part
-# at m < 256 and 2 for 11 parts at m=23
-HOM_BLOCK_ELEMENTS = 1 << 22
-# equations in the homomorphism check of one group of parts, n * m**2 +
-# m**(n+1) per universe point: about 7.6 M at m=23, 2.0e8 at m=45 and
-# 2.4e10 at m=118 (n=2), which is refused
+# equations the homomorphism check of one group of parts compares: n * m**2
+# slot equations per universe point and m**(n+1) superposition equations per
+# distinct word column (see _scan).  At n=2: 0.61 M + 0.35 M at m=23 (576
+# points, 29 columns), 8.8e7 + 3.3e8 at m=81 (6724 points, 625 columns), and
+# 2.8e8 + 6.9e9 at m=108 (11 881 points, 5488 columns), which is refused
 MAX_HOM_EQUATIONS = 1 << 30
 # intp cells of a universe's substitution tables, points * n * (n*m + m + 1)
 # for the moved points and subst: 7.7 M for the 11 881-point universe at
@@ -332,28 +331,25 @@ def verify_homomorphism(rep: Representation, alg: AbstractAlgebra) -> Violation 
 
     Slot compositions substitute the inner value into the coordinate;
     superposition (menger flavor, universes carrying every all-tuple
-    point) feeds computed values as a fresh argument tuple.  Both sides of
-    every equation are compared in every part: n * m**2 slot equations and
-    m**(n+1) superposition equations per universe point.  Parts are
-    checked in order, and within a part slots 1..n and then
-    superposition, each in lexicographic order of its elements and point;
-    the first mismatch is returned with the elements and point involved.
+    point) feeds computed values as a fresh argument tuple.  Every
+    distinct equation is compared in every part: n * m**2 slot equations
+    per universe point, and m**(n+1) superposition equations per class of
+    points with equal word columns (see _scan).  Parts are checked in
+    order, and within a part slots 1..n and then superposition, each in
+    lexicographic order of its elements and point; the first mismatch is
+    returned with the elements and point involved.
 
     Runs of parts over one universe that agree wherever two of them are
     defined form groups, each checked in one pass with one bit per part
     (see _groups and _scan); the lowest failing part of a group is then
     checked alone for its first witness.  Raises CapacityError when a
-    group has more than MAX_HOM_EQUATIONS equations.  Memory is bounded
-    per block of equations (see HOM_BLOCK_ELEMENTS), not by the equation
-    count.
+    group has more than MAX_HOM_EQUATIONS equations to compare.  Memory is
+    bounded per pass of scan_equations (see BLOCK_ELEMENTS), not by the
+    equation count.
     """
     if rep.size != alg.size:
         raise InputError("representation carrier does not match algebra")
     for parts, values in _groups(rep.parts):
-        count = _equation_count(parts[0].universe, alg)
-        if count > MAX_HOM_EQUATIONS:
-            raise CapacityError(f"homomorphism check of {count} equations exceeds "
-                                f"the cap {MAX_HOM_EQUATIONS}", count=count)
         failing, violation = _scan(parts, values, alg)
         if failing and violation is None:
             part = parts[(failing & -failing).bit_length() - 1]
@@ -361,12 +357,6 @@ def verify_homomorphism(rep: Representation, alg: AbstractAlgebra) -> Violation 
         if violation is not None:
             return violation
     return None
-
-
-def _equation_count(universe: Universe, alg: AbstractAlgebra) -> int:
-    n, m = alg.arity, alg.size
-    superposition = alg.superposition is not None and universe.all_index is not None
-    return (n * m**2 + superposition * m ** (n + 1)) * len(universe)
 
 
 def _groups(parts):
@@ -420,18 +410,21 @@ def _scan(parts, values, alg: AbstractAlgebra):
     argument rows' bits under all-ones value bits, so W[h, q] & gate
     holds bR and V[h, q] + 1, and x = W[c, p] ^ (W[h, q] & gate) holds
     bL ^ bR in its bits and is above them exactly when the values
-    differ.  A failing bit makes x nonzero, so a step where x is zero
-    everywhere passes without working out fail; the scan returns the OR
-    of the fail words of every equation.
+    differ (scan_equations); the scan returns the OR of the fail words of
+    every equation.
+
+    A superposition equation at p reads only p's word column W[:, p]: the
+    left side W[c, p], the landing point (from the values V[a_i, p]) and
+    the gate (from the bits D[a_i, p]).  So it is compared once per class
+    of points with equal word columns, at the class's first point, and the
+    first failing point of a lone part is the first point of the first
+    failing class (see scan_equations).  Slot equations read the
+    substitution neighbours of p, so they are compared at every point.
 
     A lone part carries no domain bit and no gate: its value field is 0
     exactly where it is undefined, and landing is -1 wherever its gate
-    would be 0, so x is nonzero exactly where the part fails.  Its scan
-    stops at the first failing equation in witness order: law by law,
-    block of arguments by block, head by head, a mismatch at head h in
-    one block is the first of all heads <= h there; a later block can
-    only hold an earlier witness at a smaller head, so later blocks check
-    only those.
+    would be 0, so x is nonzero exactly where the part fails, and its scan
+    stops at the first failing equation in witness order.
     """
     universe = parts[0].universe
     n, m = alg.arity, alg.size
@@ -447,66 +440,53 @@ def _scan(parts, values, alg: AbstractAlgebra):
         for k, part in enumerate(parts):
             table |= np.left_shift(part.assign >= 0, k, dtype=dtype)
         gates = table | ((1 << 8 * table.itemsize) - 1 - low)
+    superposition = alg.superposition is not None and universe.all_index is not None
+    reps = distinct_columns(table) if superposition else ()
+    equations = n * m**2 * count + m ** (n + 1) * len(reps)
+    if equations > MAX_HOM_EQUATIONS:
+        raise CapacityError(f"homomorphism check of {equations} equations exceeds "
+                            f"the cap {MAX_HOM_EQUATIONS}", count=equations)
     # the right side reads column `count`, all zeros, at landing point -1
     words = np.zeros((m, count + 1), dtype)
     words[:, :count] = table
     points = np.arange(count)
+
+    def slot_landing(slot):
+        return lambda start, stop: (universe.subst[points, slot, values[start:stop]],
+                                    None if lone else gates[start:stop])
+
     laws = [(f"homomorphism-slot:{slot + 1}", "P(g1 *i g2) differs from P(g1) *i P(g2)",
-             heads, int, [(0, universe.subst[points, slot, values], gates)])
+             heads, table, slot_landing(slot), int, universe.points)
             for slot, heads in enumerate(alg.mann)]
-    if alg.superposition is not None and universe.all_index is not None:
+    if superposition:
         laws.append(("homomorphism-superposition",
                      "P(g[g1..gn]) differs from P(g)[P(g1)..P(gn)]",
-                     alg.superposition.reshape(m, -1),
+                     alg.superposition.reshape(m, -1), table[:, reps],
+                     _superposition_landing(universe, values[:, reps],
+                                            None if lone else gates[:, reps], n),
                      lambda a: tuple(int(v) for v in np.unravel_index(a, (m,) * n)),
-                     _superposition_blocks(universe, values, gates, n)))
+                     [universe.points[p] for p in reps.tolist()]))
     failing = 0
-    for law, message, heads, arguments, blocks in laws:
-        found, last = None, m
-        for start, landing, gate in blocks:
-            rows = heads[:last, start : start + len(landing)]
-            for h, (row, word) in enumerate(zip(rows, words)):
-                x = word.take(landing)
-                if not lone:
-                    x &= gate
-                x ^= table[row]
-                if not x.any():
-                    continue
-                if lone:
-                    a, p = divmod(int(np.flatnonzero(x)[0]), count)
-                    found, last = (h, arguments(start + a), universe.points[p]), h
-                    break
-                fail = x & low  # bL ^ bR
-                fail |= (table[row] & low) * (x > low)
-                failing |= int(np.bitwise_or.reduce(fail, axis=None))
+    for law, message, heads, left, land, arguments, at in laws:
+        found_bits, found = scan_equations(heads, left, words, land, low)
+        failing |= found_bits
         if found is not None:
-            return 1, Violation(law, found, message)
+            h, a, c = found
+            return 1, Violation(law, (h, arguments(a), at[c]), message)
     return failing, None
 
 
-def _superposition_blocks(universe: Universe, values, gates, n):
-    """Blocks of leading arguments g1, flattened with g2..gn: landing is
-    the all-tuple point of the argument values, gate (with gates) the AND
-    of the argument rows' gates.  A block stays under HOM_BLOCK_ELEMENTS."""
-    m, count = values.shape
-
-    def axis(rows, k):  # rows as the k-th argument axis
-        return rows.reshape((1,) * k + (len(rows),) + (1,) * (n - 1 - k) + (count,))
-
-    # landing: one take at the values' linear index, where -1 reads the padding
+def _superposition_landing(universe: Universe, values, gates, n):
+    """land(start, stop) for scan_equations over the columns of values:
+    landing is the all-tuple point of the argument values (padding -1 where
+    one is undefined), gate (with gates) the AND of the argument rows'
+    gates, for leading arguments g1 in start..stop-1."""
     radix = universe.value_size + 1
-    coords = values.astype(np.intp) % radix
-    trailing = range(1, n)
-    tail = sum((axis(coords * radix ** (n - 1 - k), k) for k in trailing), 0)
-    per_row = m ** (n - 1)
-    rows = max(1, HOM_BLOCK_ELEMENTS // (per_row * count or 1))
-    for start in range(0, m, rows):
-        block = slice(start, start + rows)
-        landing = universe.all_index.take(axis(coords[block] * radix ** (n - 1), 0) + tail)
-        gate = None
-        if gates is not None:
-            gate = axis(gates[block], 0)
-            for k in trailing:
-                gate = gate & axis(gates, k)
-            gate = gate.reshape(-1, count)
-        yield start * per_row, landing.reshape(-1, count), gate
+    coords = values.astype(np.intp) % radix  # -1 reads the padding at value_size
+
+    def land(start, stop):
+        landing = universe.all_index.take(tuple_index(coords, n, radix, start, stop))
+        gate = None if gates is None else fold_arguments(gates, n, start, stop, np.bitwise_and)
+        return landing, gate
+
+    return land

@@ -31,8 +31,8 @@ UNDEFINED = -1
 
 DEFAULT_CLOSURE_CAP = 4096
 
-# superassociativity lays two argument tuples along 2n array axes, and
-# numpy arrays have at most 64
+# the superposition table has n + 1 array axes, the kernels' argument grids
+# n + 1 and the dense test oracle's n + 2, and numpy arrays have at most 64
 MAX_ARITY = 32
 # cells of one table, base**arity: the forge draws every cell of a
 # generator, and each composite block holds this many columns
@@ -210,7 +210,8 @@ class ConcreteAlgebra:
     """A duplicate-free, composition-closed set of partial functions.
 
     ``table`` is the read-only (m, base**n) array of the members' entries,
-    in the smallest signed dtype that holds base - 1.
+    in the smallest signed dtype that holds base - 1.  Values derived from
+    the members are computed once through :meth:`derived` and kept.
     """
 
     arity: int
@@ -218,6 +219,7 @@ class ConcreteAlgebra:
     functions: tuple[PartialFunction, ...]
     flavor: str  # "menger" | "plain"
     table: np.ndarray = field(init=False, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flavor not in ("menger", "plain"):
@@ -238,6 +240,12 @@ class ConcreteAlgebra:
 
     def __len__(self) -> int:
         return len(self.functions)
+
+    def derived(self, key, compute):
+        """The value kept under ``key``, made by ``compute()`` on first use."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     def composite_indices(self):
         """(indices, None) when closed under the applicable compositions,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .algebra import AbstractAlgebra, Violation
 from .bitrel import BinRelation
 from .errors import CapacityError, InputError
-from .forge import identity_representation
+from .forge import enumerate_relations, identity_representation
 from .relations import (
     build_closure,
     check_compatibility,
@@ -266,9 +266,13 @@ def _faithful_augmentation(alg: AbstractAlgebra, concrete: ConcreteAlgebra,
                            point_rep: Representation) -> dict:
     if len(concrete.functions) != alg.size:
         raise InputError("concrete origin size does not match carrier")
-    anchor = identity_representation(concrete)
+
+    def identity():  # the faithful summand, kept with the concrete algebra
+        anchor = identity_representation(concrete)
+        return anchor, representation_relations(anchor)
+
+    anchor, (chi_a, gamma_a, pi_a) = concrete.derived("identity", identity)
     combined = sum_representations([anchor, point_rep])
-    chi_a, gamma_a, pi_a = representation_relations(anchor)
     chi_p, gamma_p, pi_p = representation_relations(point_rep)
     chi_c, gamma_c, pi_c = representation_relations(combined)
     collision = is_faithful(combined)
@@ -303,24 +307,8 @@ def least_quasiorder_oracle(alg: AbstractAlgebra, pi: BinRelation | None = None,
 
 def _oracle_family(alg: AbstractAlgebra) -> list[BinRelation]:
     """Every l-regular, v-negative quasi-order on the carrier."""
-    m = alg.size
-    diagonal_mask = 0
-    for a in range(m):
-        diagonal_mask |= 1 << (a * m + a)
-    family = []
-    for mask in range(1 << (m * m)):
-        if mask & diagonal_mask != diagonal_mask:
-            continue
-        rows = tuple((mask >> (a * m)) & ((1 << m) - 1) for a in range(m))
-        candidate = BinRelation(m, rows)
-        if not candidate.is_transitive():
-            continue
-        if is_l_regular(candidate, alg) is not None:
-            continue
-        if is_v_negative(candidate, alg) is not None:
-            continue
-        family.append(candidate)
-    return family
+    return [candidate for candidate in enumerate_relations(alg.size, "quasi_orders")
+            if is_l_regular(candidate, alg) is None and is_v_negative(candidate, alg) is None]
 
 
 def word_system_crosscheck(alg: AbstractAlgebra, pi: BinRelation | None,

@@ -191,6 +191,42 @@ def _dense_part_violation(part, alg):
     return None
 
 
+def superassociativity_by_heads(alg):
+    """Superassociativity x0[x1..xn][ys] = x0[x1[ys] .. xn[ys]] by whole
+    arrays, one head x0 at a time over the axes (xs, ys) of every pair of
+    argument tuples in table order: no column is shared between tuples.
+    Cross-check oracle for the column-deduplicated kernel inside
+    :func:`mengerkit.check_menger_identities`."""
+    n, m = alg.arity, alg.size
+    rows = alg.superposition.reshape(m, m**n)  # rows[x, k] = x[args[k]]
+    args = np.indices((m,) * n).reshape(n, -1).T
+    # inner[j, k]: the row of args holding (x1[ys] .. xn[ys]) for
+    # xs = args[j] and ys = args[k]
+    inner = (rows[args] * m ** np.arange(n - 1, -1, -1)[:, None]).sum(axis=1)
+    for x0 in range(m):
+        diff = rows[rows[x0]] != rows[x0][inner]
+        if diff.any():
+            j, k = (int(v) for v in np.argwhere(diff)[0])
+            xs, ys = (tuple(int(v) for v in args[i]) for i in (j, k))
+            return Violation("superassociativity", ((x0, *xs), ys),
+                             "x0[x1..xn][y1..yn] != x0[x1[y..] .. xn[y..]]")
+    return None
+
+
+def superassociativity_by_loops(alg):
+    """Superassociativity by a loop over every (x0, xs, ys), in that
+    lexicographic order."""
+    m, n, t = alg.size, alg.arity, Tables(alg)
+    for x0 in range(m):
+        for xs in product(range(m), repeat=n):
+            head = t.sup_at(x0, xs)
+            for ys in product(range(m), repeat=n):
+                if t.sup_at(head, ys) != t.sup_at(x0, tuple(t.sup_at(x, ys) for x in xs)):
+                    return Violation("superassociativity", ((x0, *xs), ys),
+                                     "x0[x1..xn][y1..yn] != x0[x1[y..] .. xn[y..]]")
+    return None
+
+
 def mixed_law_violation_by_loops(alg):
     """The two mixed Menger laws by a loop over every instantiation, slot
     by slot.  Cross-check oracle for the array laws inside
@@ -613,6 +649,19 @@ def representation_relations_by_parts(rep):
 # rows (bit b of row a for the pair (a, b)), one bit at a time.  They read
 # a relation only through its ``rows`` exchange format, so they share no
 # array code with the library.
+
+
+def relations_by_bitset_rows(m: int, which: str):
+    """The relations of forge.enumerate_relations for "all" and
+    "quasi_orders", each mask's relation built from its bitset rows, in
+    mask order (bit a * m + b of a mask is the pair (a, b))."""
+    diagonal = sum(1 << (a * m + a) for a in range(m))
+    for mask in range(1 << (m * m)):
+        if which == "quasi_orders" and mask & diagonal != diagonal:
+            continue
+        r = BinRelation(m, tuple((mask >> (a * m)) & ((1 << m) - 1) for a in range(m)))
+        if which == "all" or transitive_closure_by_bits(r) == r:
+            yield r
 
 
 def _bits(mask: int):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mengerkit import (
@@ -11,11 +12,13 @@ from mengerkit import (
     abstract_from_concrete,
     build_closure,
     build_universe,
+    check_menger_identities,
     domain_relations,
     generate_concrete,
     roundtrip,
+    sum_over_pairs,
 )
-from mengerkit import represent
+from mengerkit import algebra, represent
 from mengerkit.cli import main
 from mengerkit.fileio import save_algebra, save_relation
 
@@ -106,10 +109,17 @@ def test_verify_exit_one_on_failed_conditions(paths, tmp_path, capsys):
 
 def test_verify_over_the_equation_cap_exits_3(paths, zero_proj, zero_proj_concrete,
                                               monkeypatch, capsys):
-    # the m=118 rung (14161 points) is refused; m=23 on scale is not
-    assert (2 * 23**2 + 23**3) * 576 < represent.MAX_HOM_EQUATIONS
-    assert (2 * 118**2 + 118**3) * 14161 > represent.MAX_HOM_EQUATIONS
-    count = (2 * 2**2 + 2**3) * len(build_universe(zero_proj))
+    # compared equations: n * m**2 per point and m**(n+1) per distinct word
+    # column; the m=108 rung (11 881 points, 5488 columns) is refused, the
+    # m=81 rung (6724 points, 625 columns) is not
+    assert 2 * 81**2 * 6724 + 81**3 * 625 < represent.MAX_HOM_EQUATIONS
+    assert 2 * 108**2 * 11881 + 108**3 * 5488 > represent.MAX_HOM_EQUATIONS
+    chi, gamma, _ = domain_relations(zero_proj_concrete)
+    parts = sum_over_pairs(zero_proj, chi, gamma).parts
+    assert len(represent._groups(parts)) == 1
+    # a point's word column is its column of the parts' values stacked
+    columns = {column.tobytes() for column in np.concatenate([p.assign for p in parts]).T}
+    count = 2 * 2**2 * len(build_universe(zero_proj)) + 2**3 * len(columns)
     argv = ["verify", "--algebra", paths["conc"], "--target", "triplet",
             "--chi", paths["chi"], "--gamma", paths["gamma"], "--pi", paths["pi"]]
     monkeypatch.setattr(represent, "MAX_HOM_EQUATIONS", count - 1)
@@ -119,6 +129,24 @@ def test_verify_over_the_equation_cap_exits_3(paths, zero_proj, zero_proj_concre
     assert main(argv) == 3
     assert f"homomorphism check of {count} equations" in capsys.readouterr().err
     monkeypatch.setattr(represent, "MAX_HOM_EQUATIONS", count)
+    assert main(argv) == 0
+
+
+def test_check_over_the_menger_cap_exits_3(paths, zero_proj, monkeypatch, capsys):
+    # superassociativity compares m**(n+1) equations per distinct column of
+    # the superposition table, the mixed laws 2 * n * m**(n+2)
+    columns = {column.tobytes() for column in zero_proj.superposition.reshape(2, 4).T}
+    phases = [("superassociativity", 2**3 * len(columns)), ("mixed laws", 2 * 2 * 2**4)]
+    assert phases[0][1] < phases[1][1]
+    argv = ["check", "--algebra", paths["alg"]]
+    for phase, count in phases:
+        monkeypatch.setattr(algebra, "MAX_MENGER_EQUATIONS", count - 1)
+        with pytest.raises(CapacityError) as err:
+            check_menger_identities(zero_proj)
+        assert err.value.count == count
+        assert main(argv) == 3
+        assert f"Menger identities: {phase} of {count} equations" in capsys.readouterr().err
+    monkeypatch.setattr(algebra, "MAX_MENGER_EQUATIONS", phases[1][1])
     assert main(argv) == 0
 
 

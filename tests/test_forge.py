@@ -17,6 +17,8 @@ from mengerkit import (
 )
 from mengerkit.fileio import algebra_to_doc, dump_doc
 
+from oracles import relations_by_bitset_rows
+
 
 def test_generation_is_deterministic():
     cfg = GeneratorConfig(arity=2, base_size=2, generator_count=1, seed=7)
@@ -118,6 +120,13 @@ def test_equivalence_counts_match_bell_numbers():
 
 def test_quasi_order_count_on_two_elements():
     assert len(list(enumerate_relations(2, "quasi_orders"))) == 4
+
+
+def test_enumerated_relations_match_bitset_rows():
+    for m in range(1, 5):
+        for which in ("all", "quasi_orders"):
+            assert list(enumerate_relations(m, which)) == list(relations_by_bitset_rows(m, which))
+    assert len(list(enumerate_relations(4, "quasi_orders"))) == 355
 
 
 def test_all_relations_cap():

@@ -63,6 +63,8 @@ from oracles import (
     representability_by_groups,
     representation_relations_by_parts,
     seed_relations_by_loops,
+    superassociativity_by_heads,
+    superassociativity_by_loops,
     superpose_by_cells,
     universe_tables_by_dict,
     v_negative_by_loops,
@@ -137,8 +139,9 @@ def test_battery_representations_match_dense_check(menger_battery, plain_battery
 
 
 def single_row_blocks(monkeypatch):
-    """Let each superposition block hold one leading argument."""
-    monkeypatch.setattr(represent, "HOM_BLOCK_ELEMENTS", 1)
+    """Let each block of the equation scan hold one leading argument, and
+    each pass one head."""
+    monkeypatch.setattr(algebra, "BLOCK_ELEMENTS", 1)
 
 
 def test_corrupted_cells_match_dense_check(m18, monkeypatch):
@@ -190,6 +193,75 @@ def test_perturbed_tables_match_oracles(m18, monkeypatch):
     assert hom_flagged >= 15 and laws_flagged >= 15
 
 
+def superposition_perturbations(alg, rng, count):
+    """count seeded copies of alg, each with one superposition cell changed."""
+    n, m = alg.arity, alg.size
+    cases = []
+    for _ in range(count):
+        table = np.array(alg.superposition)
+        cell = tuple(rng.integers(m, size=n + 1))
+        table[cell] = (table[cell] + 1 + rng.integers(m - 1)) % m
+        cases.append(AbstractAlgebra(n, m, alg.mann, table, flavor="menger"))
+    return cases
+
+
+def test_superassociativity_matches_oracles(menger_battery, m18, m23, monkeypatch):
+    # the battery, m18 and m23 and seeded one-cell perturbations of them:
+    # the column classes give the per-head arrays' Violation (and, up to
+    # m = 6, the loops'), also with one leading argument and head per pass;
+    # the failing class first occurs early for some and late for others
+    rng = np.random.default_rng(13)
+    sources = [abstract_from_concrete(c) for c in menger_battery[:60]] + [m18[0], m23[0]]
+    late = set()
+    for source in sources:
+        cases = [source] + superposition_perturbations(
+            source, rng, 0 if source.size == 1 else 2 if source.size < 18 else 12)
+        for alg in cases:
+            expected = superassociativity_by_heads(alg)
+            if alg.size <= 6:
+                assert superassociativity_by_loops(alg) == expected
+            assert algebra._superassociativity_violation(alg) == expected
+            with monkeypatch.context() as patch:
+                single_row_blocks(patch)
+                assert algebra._superassociativity_violation(alg) == expected
+            if expected is not None:
+                ys = np.ravel_multi_index(expected.witness[1], (alg.size,) * alg.arity)
+                late.add(2 * ys >= alg.size ** alg.arity)
+    assert late == {False, True}
+
+
+def test_superposition_classes_match_dense_check(menger_battery, m18, m23, monkeypatch):
+    # seeded superposition cells changed under a fixed representation:
+    # only superposition equations change, and they fail at the points of
+    # the classes whose words tell the old composite from the new one; the
+    # first failing class first occurs at the first point for some and
+    # past the all-carrier points for others
+    rng = np.random.default_rng(81)
+    for conc in [c for c in menger_battery if len(c) > 1][:20]:
+        alg, reps = battery_representations(conc)
+        for pert in superposition_perturbations(alg, rng, 2):
+            for rep in reps:
+                expected = dense_homomorphism_violation(rep, pert)
+                assert verify_homomorphism(rep, pert) == expected
+                with monkeypatch.context() as patch:
+                    single_row_blocks(patch)
+                    assert verify_homomorphism(rep, pert) == expected
+    late = set()
+    for (alg, rep), count in ((m18, 30), (m23, 3)):
+        if alg.size == 23:  # one part: the dense check of a part takes 56 MB a side
+            rep = Representation(rep.size, rep.parts[:1])
+        points = rep.parts[0].universe.points
+        for pert in superposition_perturbations(alg, rng, count):
+            expected = dense_homomorphism_violation(rep, pert)
+            if expected is None:  # the part's words of the two composites agree
+                assert verify_homomorphism(rep, pert) is None
+                continue
+            assert_witness(rep, pert, expected, monkeypatch)
+            assert expected.law == "homomorphism-superposition"
+            late.add(2 * points.index(expected.witness[2]) >= len(points))
+    assert late == {False, True}
+
+
 def test_superposition_into_slot_matches_loops(m18):
     # a constant superposition table keeps slot-into-superposition for any
     # mann tables, so superposition-into-slot is the first law to fail
@@ -223,7 +295,8 @@ def test_homomorphism_check_memory_is_bounded(m23):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20  # measured 4.3 MB; the whole-part arrays took 163.5 MB
+    # measured 1.7 MB; one head at a time took 4.3 MB, the whole-part arrays 163.5 MB
+    assert peak < 16 * 2**20
 
 
 def changed_value(rep, k, g, p):
@@ -411,20 +484,30 @@ def test_tables_and_states_are_read_only(m18):
     assert copy == alg
 
 
-def test_menger_identity_memory_is_bounded():
+def menger_identity_peak(seed, closure_cap, size) -> int:
+    """The tracemalloc peak of check_menger_identities, word states
+    included, on the menger forge algebra of a seed."""
     conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
-                                             seed=56, closure_cap=26))
+                                             seed=seed, closure_cap=closure_cap))
     alg = abstract_from_concrete(conc)
-    assert alg.size == 23
+    assert alg.size == size
     tracemalloc.start()
     try:
         assert check_menger_identities(alg) is None
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured 8.7 MB; the whole S[S] array and its right side took 18.4 MB
-    # in uint8 and would take 8 times that in intp
-    assert peak < 12 * 2**20
+
+
+def test_menger_identity_memory_is_bounded():
+    # measured 0.8 MB; the whole S[S] array and its right side took 18.4 MB
+    # in uint8, and one head at a time 8.7 MB in intp
+    assert menger_identity_peak(56, 26, 23) < 12 * 2**20
+
+
+def test_menger_identity_memory_is_bounded_at_m45():
+    # measured 5.0 MB; one head at a time took 126 MB
+    assert menger_identity_peak(1, 130, 45) < 12 * 2**20
 
 
 # -- the concrete side against its cell-by-cell loops -------------------------

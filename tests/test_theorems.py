@@ -3,18 +3,22 @@ import pytest
 from mengerkit import (
     BinRelation,
     CapacityError,
+    GeneratorConfig,
     InputError,
     Target,
     abstract_from_concrete,
     build_closure,
     domain_relations,
     enumerate_relations,
+    generate_concrete,
+    identity_representation,
     least_quasiorder_oracle,
     roundtrip,
     seed_relations,
     verify_conditions,
     word_system_crosscheck,
 )
+from mengerkit import theorems
 
 
 def rel(size, pairs):
@@ -95,6 +99,21 @@ def test_roundtrip_single_chi_faithful(zero_proj, zero_proj_concrete):
     verdict = roundtrip(zero_proj, Target("single_chi", chi=chi),
                         concrete=zero_proj_concrete)
     assert verdict.ok and verdict.faithful["ok"]
+
+
+def test_faithful_summand_is_built_once(monkeypatch):
+    # both faithful targets share the identity representation kept with
+    # the concrete algebra
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1, seed=8))
+    alg = abstract_from_concrete(conc)
+    chi, _, pi = domain_relations(conc)
+    built = []
+    monkeypatch.setattr(theorems, "identity_representation",
+                        lambda c: built.append(c) or identity_representation(c))
+    for kind in ("pair_chi_pi", "single_chi"):
+        verdict = roundtrip(alg, Target(kind, chi=chi, pi=pi), concrete=conc)
+        assert verdict.ok and verdict.faithful["ok"]
+    assert built == [conc]
 
 
 def test_roundtrip_skipped_when_conditions_fail(zero_proj):
