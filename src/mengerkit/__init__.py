@@ -40,7 +40,6 @@ from .relations import (
 from .represent import (
     Representation,
     Universe,
-    build_representation,
     build_universe,
     is_faithful,
     representation_relations,
@@ -95,7 +94,6 @@ __all__ = [
     "seed_relations",
     "Representation",
     "Universe",
-    "build_representation",
     "build_universe",
     "is_faithful",
     "representation_relations",

@@ -39,11 +39,12 @@ STATE_BLOCK_CHILDREN = 1 << 14
 # landing entries, 8 bytes each (intp, which numpy gathers with no per-call
 # index conversion), twice while they are summed, and on a group its gate.
 BLOCK_ELEMENTS = 1 << 20
-# equations one phase of check_menger_identities compares: m**(n+1) per
-# distinct superassociativity column (69 columns, 6.3 M at m=45; 625, 3.3e8
-# at m=81; 5488, 6.9e9 at m=108, which is refused), and 2 * n * m**(n+2)
-# for the mixed laws (1.7e8 at m=81, 5.4e8 at m=108)
-MAX_MENGER_EQUATIONS = 1 << 30
+# equations one law phase compares: n * m**3 for associativity (1.0e9 at
+# n=2, m=800), m**(n+1) per distinct superassociativity column (69 columns,
+# 6.3 M at m=45; 625, 3.3e8 at m=81; 5488, 6.9e9 at m=108, which is
+# refused), and 2 * n * m**(n+2) for the mixed laws (1.7e8 at m=81, 5.4e8
+# at m=108)
+MAX_LAW_EQUATIONS = 1 << 30
 
 Word = tuple[tuple[int, int], ...]  # ((slot, element), ...), slots 0-based
 
@@ -155,13 +156,10 @@ class AbstractAlgebra:
         """The unique element obeying the zero laws, computed on demand."""
         return self.derived("zero", lambda: find_zero(self))
 
-    def states(self, cap: int = DEFAULT_STATE_CAP) -> "StateSpace":
-        """The reachable word states; raises CapacityError exactly when
-        ``reachable_states(self, cap)`` would, also once they are kept."""
-        space = self.derived("states", lambda: reachable_states(self, cap=cap))
-        if len(space.slots) > cap:
-            raise CapacityError(f"state cap {cap} exceeded", count=cap + 1)
-        return space
+    def states(self) -> "StateSpace":
+        """The reachable word states under DEFAULT_STATE_CAP, kept with the
+        algebra (see reachable_states)."""
+        return self.derived("states", lambda: reachable_states(self))
 
 
 def right_translations(alg: AbstractAlgebra):
@@ -359,13 +357,23 @@ def _first(diff: np.ndarray) -> tuple[int, ...] | None:
 
 
 def check_associativity(alg: AbstractAlgebra) -> Violation | None:
-    """Each slot composition must be associative; first violating triple wins."""
-    x = _axis(0, 3, alg.size)
+    """Each slot composition must be associative; the first violating
+    (x, y, z) in lexicographic order wins, slot by slot.
+
+    With t the column z of the slot table, the map c -> c *i z, the law
+    reads t(x *i y) = x *i t(y): scan_equations checks it with the table
+    as heads, left and right side, landing y at y *i z, in passes of at
+    most BLOCK_ELEMENTS.  The n * m**3 equations raise CapacityError
+    before the first pass when they are over MAX_LAW_EQUATIONS."""
+    n, m = alg.arity, alg.size
+    _check_law_cap("associativity", n * m**3)
     for slot, M in enumerate(alg.mann):
-        where = _first(M[M] != M[x, M])  # (x y) z against x (y z), axes x, y, z
-        if where is not None:
+        values = M.astype(np.min_scalar_type(m - 1))
+        _, found = scan_equations(M, values, values,
+                                  lambda start, stop: (M[start:stop], None))
+        if found is not None:
             return Violation(
-                f"associativity:{slot + 1}", where,
+                f"associativity:{slot + 1}", found,
                 f"(x *{slot + 1} y) *{slot + 1} z != x *{slot + 1} (y *{slot + 1} z)")
     return None
 
@@ -381,7 +389,7 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
     column, see _superassociativity_violation) and the mixed laws
     (2 * n * m**(n+2)) each raise CapacityError, naming the phase and its
     count, before their first pass when the count is over
-    MAX_MENGER_EQUATIONS; the word identity compares m equations per
+    MAX_LAW_EQUATIONS; the word identity compares m equations per
     slot-complete state, which the state cap bounds."""
     if alg.flavor != "menger":
         raise InputError("menger identities require menger flavor")
@@ -399,10 +407,10 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
     return None
 
 
-def _check_menger_cap(phase: str, count: int):
-    if count > MAX_MENGER_EQUATIONS:
-        raise CapacityError(f"Menger identities: {phase} of {count} equations exceeds "
-                            f"the cap {MAX_MENGER_EQUATIONS}", count=count)
+def _check_law_cap(phase: str, count: int):
+    if count > MAX_LAW_EQUATIONS:
+        raise CapacityError(f"{phase} of {count} equations exceeds the cap "
+                            f"{MAX_LAW_EQUATIONS}", count=count)
 
 
 def distinct_columns(table: np.ndarray) -> np.ndarray:
@@ -518,7 +526,7 @@ def _superassociativity_violation(alg: AbstractAlgebra) -> Violation | None:
     heads = alg.superposition.reshape(m, m**n)  # heads[x, k]: x at the k-th tuple
     values = heads.astype(np.min_scalar_type(m - 1))
     reps = distinct_columns(values)
-    _check_menger_cap("superassociativity", len(reps) * m ** (n + 1))
+    _check_law_cap("Menger identities: superassociativity", len(reps) * m ** (n + 1))
     coords = heads[:, reps]
     _, found = scan_equations(heads, values[:, reps], values,
                               lambda start, stop: (tuple_index(coords, n, m, start, stop),
@@ -558,7 +566,7 @@ def _mixed_law_violation(alg: AbstractAlgebra) -> Violation | None:
       witness (x, ys, z): head x, arguments ys, and one column per z, the
       right translation c -> c *i z; ys lands at (y1 *i z .. yn *i z)."""
     n, m = alg.arity, alg.size
-    _check_menger_cap("mixed laws", 2 * n * m ** (n + 2))
+    _check_law_cap("Menger identities: mixed laws", 2 * n * m ** (n + 2))
     dtype = np.min_scalar_type(m - 1)
     heads = alg.superposition.reshape(m, m**n)
     values = heads.astype(dtype)

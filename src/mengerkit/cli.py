@@ -171,13 +171,15 @@ def _target_from_args(args) -> Target:
     return Target(args.target, **rels)
 
 
-def cmd_classify(args, report: Report) -> None:
-    alg, _ = _load_semigroup(args.algebra, args.flavor)
-    target = _target_from_args(args)
-    conditions = verify_conditions(alg, target)
+def _add_conditions(report: Report, conditions) -> None:
     for result in conditions.results:
         report.add(f"{conditions.theorem_id}:{result.name}", result.ok,
                    result.detail or _violation_detail(result.witness))
+
+
+def cmd_classify(args, report: Report) -> None:
+    alg, _ = _load_semigroup(args.algebra, args.flavor)
+    _add_conditions(report, verify_conditions(alg, _target_from_args(args)))
 
 
 def cmd_represent(args, report: Report) -> None:
@@ -197,9 +199,7 @@ def cmd_verify(args, report: Report) -> None:
     alg, concrete = _load_semigroup(args.algebra, args.flavor)
     target = _target_from_args(args)
     verdict = roundtrip(alg, target, concrete=concrete)
-    for result in verdict.conditions.results:
-        report.add(f"{verdict.theorem_id}:{result.name}", result.ok,
-                   result.detail or _violation_detail(result.witness))
+    _add_conditions(report, verdict.conditions)
     if verdict.roundtrip_attempted:
         for name, ok in verdict.equalities:
             report.add(f"{verdict.theorem_id}:roundtrip {name}", ok)

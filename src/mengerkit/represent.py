@@ -218,26 +218,6 @@ def _validate_chi(alg: AbstractAlgebra, chi: BinRelation):
         raise InputError("chi must be v-negative")
 
 
-def build_representation(alg: AbstractAlgebra, chi: BinRelation, mode) -> Representation:
-    """One canonical part.  ``mode`` is ("pair", h1, h2) or ("point", a);
-    the point form is the pair form with both anchors equal.
-
-    chi must be an l-regular, v-negative quasi-order; this is checked
-    eagerly because every downstream claim depends on it.
-    """
-    _validate_chi(alg, chi)
-    if mode[0] == "pair":
-        h1, h2 = mode[1], mode[2]
-    elif mode[0] == "point":
-        h1 = h2 = mode[1]
-    else:
-        raise InputError(f"unknown representation mode {mode[0]!r}")
-    if not (0 <= h1 < alg.size and 0 <= h2 < alg.size):
-        raise InputError("anchor element out of range")
-    universe = build_universe(alg)
-    return Representation(alg.size, _anchored_parts(universe, chi, [(h1, h2)]))
-
-
 def _anchored_parts(universe: Universe, chi: BinRelation, anchors) -> tuple[ReprPart, ...]:
     """One part per distinct anchor row chi[h1] | chi[h2], in order of
     first use, labelled by every anchor pair that gives it.

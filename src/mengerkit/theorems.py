@@ -38,18 +38,17 @@ from .represent import (
 )
 from .tables import ConcreteAlgebra
 
-# target kind -> (prescribed relations, theorem id)
+# target kind -> (prescribed relations, menger theorem id, plain theorem id);
+# every condition and round-trip step follows from the prescribed relations
 _TARGETS = {
-    "triplet": (("chi", "gamma", "pi"), "T1"),
-    "pair_chi_gamma": (("chi", "gamma"), "T1a"),
-    "pair_gamma_pi": (("gamma", "pi"), "T2"),
-    "pair_chi_pi": (("chi", "pi"), "T4"),
-    "single_chi": (("chi",), "T5"),
-    "single_gamma": (("gamma",), "T8"),
-    "single_pi": (("pi",), "T6"),
+    "triplet": (("chi", "gamma", "pi"), "T1", "T1"),
+    "pair_chi_gamma": (("chi", "gamma"), "T1a", "T1a"),
+    "pair_gamma_pi": (("gamma", "pi"), "T2", "T11"),
+    "pair_chi_pi": (("chi", "pi"), "T4", "T4"),
+    "single_chi": (("chi",), "T5", "T5"),
+    "single_gamma": (("gamma",), "T8", "T12"),
+    "single_pi": (("pi",), "T6", "T6"),
 }
-_PLAIN_THEOREM_IDS = {"pair_gamma_pi": "T11", "single_gamma": "T12"}
-
 TARGET_KINDS = tuple(_TARGETS)
 
 
@@ -139,24 +138,40 @@ def _gamma_conditions(alg, gamma, results):
     results.append(ConditionResult("gamma-l-cancellative", witness is None, witness))
 
 
-def _pi_closure_conditions(alg, pi, results, derived):
+_NOT_EVALUATED = "not evaluated: pi preconditions failed"
+
+
+def _pi_closure_conditions(alg, pi, results):
     results.append(ConditionResult("pi-equivalence", pi.is_equivalence()))
     witness = is_l_regular(pi, alg)
     results.append(ConditionResult("pi-l-regular", witness is None, witness))
     if not (results[-1].ok and results[-2].ok):
-        results.append(ConditionResult(
-            "pi-closure-antisymmetry", False,
-            detail="not evaluated: pi preconditions failed"))
+        results.append(ConditionResult("pi-closure-antisymmetry", False,
+                                       detail=_NOT_EVALUATED))
         return None
     closure = build_closure(alg, _closure_kind(alg.flavor, True), pi)
-    derived["closure"] = closure
     ok = (closure & closure.transpose()).issubset(pi)
     results.append(ConditionResult("pi-closure-antisymmetry", ok))
     return closure
 
 
+def _prescribed(target: Target):
+    """(chi, gamma, pi) of the target, None where its kind does not
+    prescribe the relation (a relation given anyway is ignored)."""
+    names = _TARGETS[target.kind][0]
+    return tuple(getattr(target, name) if name in names else None
+                 for name in ("chi", "gamma", "pi"))
+
+
 def verify_conditions(alg: AbstractAlgebra, target: Target) -> ConditionsReport:
     """Exact condition battery for the target's characterization.
+
+    The conditions follow from which relations the target prescribes:
+    chi brings the quasi-order conditions and gamma the zero
+    quasi-equivalence ones.  pi with chi must be chi's kernel; pi without
+    chi must be an l-regular equivalence whose closure is antisymmetric
+    over it.  gamma must be compatible with the anchor order: chi, else the
+    pi closure, else the least closure (kept in ``derived["closure"]``).
 
     Relation sizes must match the carrier.  Closure-dependent conditions
     are evaluated only when their prerequisites hold and are reported as
@@ -166,40 +181,36 @@ def verify_conditions(alg: AbstractAlgebra, target: Target) -> ConditionsReport:
         rel = getattr(target, name)
         if rel is not None and rel.size != alg.size:
             raise InputError(f"{name} size {rel.size} does not match carrier {alg.size}")
-    kind = target.kind
-    theorem_id = _TARGETS[kind][1]
-    if alg.flavor == "plain":
-        theorem_id = _PLAIN_THEOREM_IDS.get(kind, theorem_id)
-    report = ConditionsReport(kind, theorem_id, [])
+    _, menger_id, plain_id = _TARGETS[target.kind]
+    report = ConditionsReport(target.kind, menger_id if alg.flavor == "menger"
+                              else plain_id, [])
     results = report.results
+    chi, gamma, pi = _prescribed(target)
 
-    if kind in ("triplet", "pair_chi_gamma", "pair_chi_pi", "single_chi"):
-        _chi_conditions(alg, target.chi, results)
-    if kind in ("triplet", "pair_chi_gamma", "pair_gamma_pi", "single_gamma"):
-        _gamma_conditions(alg, target.gamma, results)
-    if kind in ("triplet", "pair_chi_pi"):
-        ok = target.pi == target.chi & target.chi.transpose()
-        results.append(ConditionResult("pi-is-chi-kernel", ok))
-    if kind in ("triplet", "pair_chi_gamma"):
-        witness = check_compatibility(target.chi, target.gamma)
-        results.append(ConditionResult("compatibility", witness is None, witness))
-    if kind in ("pair_gamma_pi", "single_pi"):
-        closure = _pi_closure_conditions(alg, target.pi, results, report.derived)
-        if kind == "pair_gamma_pi":
-            if closure is None:
-                results.append(ConditionResult(
-                    "compatibility-closure", False,
-                    detail="not evaluated: pi preconditions failed"))
-            else:
-                witness = check_compatibility(closure, target.gamma)
-                results.append(ConditionResult("compatibility-closure",
-                                               witness is None, witness))
-    if kind == "single_gamma":
-        closure = build_closure(alg, _closure_kind(alg.flavor, False))
+    if chi is not None:
+        _chi_conditions(alg, chi, results)
+    if gamma is not None:
+        _gamma_conditions(alg, gamma, results)
+    closure = None
+    if pi is not None and chi is not None:
+        results.append(ConditionResult("pi-is-chi-kernel", pi == chi & chi.transpose()))
+    elif pi is not None:
+        closure = _pi_closure_conditions(alg, pi, results)
+    if gamma is not None:
+        if chi is not None:
+            name, anchor = "compatibility", chi
+        elif pi is not None:
+            name, anchor = "compatibility-closure", closure
+        else:
+            name = "compatibility-least-closure"
+            anchor = closure = build_closure(alg, _closure_kind(alg.flavor, False))
+        if anchor is None:
+            results.append(ConditionResult(name, False, detail=_NOT_EVALUATED))
+        else:
+            witness = check_compatibility(anchor, gamma)
+            results.append(ConditionResult(name, witness is None, witness))
+    if closure is not None:
         report.derived["closure"] = closure
-        witness = check_compatibility(closure, target.gamma)
-        results.append(ConditionResult("compatibility-least-closure",
-                                       witness is None, witness))
     return report
 
 
@@ -208,8 +219,12 @@ def roundtrip(alg: AbstractAlgebra, target: Target,
     """Build the prescribed representation and compare its domain
     relations with the target, exactly.
 
-    Attempted only when all conditions pass.  ``concrete`` supplies the
-    faithful summand for the chi-pi and single-chi targets: the identity
+    Attempted only when all conditions pass.  The representation is a sum
+    over gamma's pairs when gamma is prescribed, else over the carrier,
+    anchored in chi or, without chi, in the closure.  Each prescribed
+    relation must equal its realized one, and without chi the closure
+    must equal the realized chi as well.  With chi and without gamma,
+    ``concrete`` supplies the faithful summand: the identity
     representation of the concrete origin is added and the sum must stay
     faithful with intersected relations.
     """
@@ -219,43 +234,18 @@ def roundtrip(alg: AbstractAlgebra, target: Target,
     if not conditions.ok:
         return verdict
     verdict.roundtrip_attempted = True
-    kind = target.kind
-
-    if kind in ("triplet", "pair_chi_gamma"):
-        rep = sum_over_pairs(alg, target.chi, target.gamma)
-        chi_p, gamma_p, pi_p = representation_relations(rep)
-        verdict.equalities.append(("chi == chi_P", target.chi == chi_p))
-        verdict.equalities.append(("gamma == gamma_P", target.gamma == gamma_p))
-        if kind == "triplet":
-            verdict.equalities.append(("pi == pi_P", target.pi == pi_p))
-    elif kind == "pair_gamma_pi":
-        closure = conditions.derived["closure"]
-        rep = sum_over_pairs(alg, closure, target.gamma)
-        chi_p, gamma_p, pi_p = representation_relations(rep)
-        verdict.equalities.append(("gamma == gamma_P", target.gamma == gamma_p))
-        verdict.equalities.append(("pi == pi_P", target.pi == pi_p))
-        verdict.equalities.append(("closure == chi_P", closure == chi_p))
-    elif kind == "single_gamma":
-        closure = conditions.derived["closure"]
-        rep = sum_over_pairs(alg, closure, target.gamma)
-        chi_p, gamma_p, _ = representation_relations(rep)
-        verdict.equalities.append(("gamma == gamma_P", target.gamma == gamma_p))
-        verdict.equalities.append(("closure == chi_P", closure == chi_p))
-    elif kind in ("pair_chi_pi", "single_chi"):
-        rep = sum_over_points(alg, target.chi)
-        chi_p, _, pi_p = representation_relations(rep)
-        verdict.equalities.append(("chi == chi_P", target.chi == chi_p))
-        if kind == "pair_chi_pi":
-            verdict.equalities.append(("pi == pi_P", target.pi == pi_p))
-        if concrete is not None:
-            verdict.faithful = _faithful_augmentation(alg, concrete, rep)
-    elif kind == "single_pi":
-        closure = conditions.derived["closure"]
-        rep = sum_over_points(alg, closure)
-        _, _, pi_p = representation_relations(rep)
-        verdict.equalities.append(("pi == pi_P", target.pi == pi_p))
-    else:  # pragma: no cover
-        raise InputError(f"unhandled target kind {kind!r}")
+    chi, gamma, pi = _prescribed(target)
+    anchor = conditions.derived["closure"] if chi is None else chi
+    rep = (sum_over_points(alg, anchor) if gamma is None
+           else sum_over_pairs(alg, anchor, gamma))
+    realized = representation_relations(rep)
+    for name, rel, rel_p in zip(("chi", "gamma", "pi"), (chi, gamma, pi), realized):
+        if rel is not None:
+            verdict.equalities.append((f"{name} == {name}_P", rel == rel_p))
+    if gamma is not None and chi is None:
+        verdict.equalities.append(("closure == chi_P", anchor == realized[0]))
+    if chi is not None and gamma is None and concrete is not None:
+        verdict.faithful = _faithful_augmentation(alg, concrete, rep, realized)
 
     verdict.representation = rep
     verdict.hom_violation = verify_homomorphism(rep, alg)
@@ -263,7 +253,7 @@ def roundtrip(alg: AbstractAlgebra, target: Target,
 
 
 def _faithful_augmentation(alg: AbstractAlgebra, concrete: ConcreteAlgebra,
-                           point_rep: Representation) -> dict:
+                           point_rep: Representation, point_relations) -> dict:
     if len(concrete.functions) != alg.size:
         raise InputError("concrete origin size does not match carrier")
 
@@ -273,7 +263,7 @@ def _faithful_augmentation(alg: AbstractAlgebra, concrete: ConcreteAlgebra,
 
     anchor, (chi_a, gamma_a, pi_a) = concrete.derived("identity", identity)
     combined = sum_representations([anchor, point_rep])
-    chi_p, gamma_p, pi_p = representation_relations(point_rep)
+    chi_p, gamma_p, pi_p = point_relations
     chi_c, gamma_c, pi_c = representation_relations(combined)
     collision = is_faithful(combined)
     return {
@@ -319,7 +309,9 @@ def word_system_crosscheck(alg: AbstractAlgebra, pi: BinRelation | None,
     For each applicable system the exact condition passing forces the
     truncated system to pass at every bounded depth, and a truncated
     failure forces an exact failure.  Any divergence flags an
-    implementation bug.
+    implementation bug.  The A and B systems are judged against pi's
+    closure, which build_closure refuses unless pi is an l-regular
+    equivalence; for another pi they are left out.
     """
     if n_bound < 1 or m_bound < 1:
         raise InputError(f"word-system bounds must be at least 1, got {n_bound},{m_bound}")
@@ -339,8 +331,14 @@ def word_system_crosscheck(alg: AbstractAlgebra, pi: BinRelation | None,
         if not consistent:
             report["divergence"] = True
 
+    closure = None
     if pi is not None:
-        closure = build_closure(alg, _closure_kind(alg.flavor, True), pi)
+        try:
+            closure = build_closure(alg, _closure_kind(alg.flavor, True), pi)
+        except InputError:
+            if pi.size != alg.size:
+                raise
+    if closure is not None:
         exact_a = (closure & closure.transpose()).issubset(pi)
         record("A" + suffix, exact_a,
                check_word_system(alg, "A" + suffix, n_bound, m_bound, pi=pi))

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,15 +13,19 @@ from mengerkit import (
     abstract_from_concrete,
     build_closure,
     build_universe,
+    check_associativity,
     check_menger_identities,
     domain_relations,
     generate_concrete,
+    is_l_regular,
     roundtrip,
     sum_over_pairs,
 )
 from mengerkit import algebra, represent
 from mengerkit.cli import main
 from mengerkit.fileio import save_algebra, save_relation
+
+import golden_reports
 
 
 @pytest.fixture()
@@ -132,22 +137,76 @@ def test_verify_over_the_equation_cap_exits_3(paths, zero_proj, zero_proj_concre
     assert main(argv) == 0
 
 
-def test_check_over_the_menger_cap_exits_3(paths, zero_proj, monkeypatch, capsys):
+def test_check_over_the_law_cap_exits_3(paths, zero_proj, monkeypatch, capsys):
+    # associativity compares n * m**3 equations, counted before the first pass
+    count = 2 * 2**3
+    monkeypatch.setattr(algebra, "MAX_LAW_EQUATIONS", count - 1)
+    with pytest.raises(CapacityError) as err:
+        check_associativity(zero_proj)
+    assert err.value.count == count
+    assert main(["check", "--algebra", paths["alg"]]) == 3
+    assert f"associativity of {count} equations exceeds the cap" in capsys.readouterr().err
+    monkeypatch.setattr(algebra, "MAX_LAW_EQUATIONS", count)
+    assert check_associativity(zero_proj) is None
+
+
+def test_check_over_the_menger_cap_exits_3(tmp_path, monkeypatch, capsys):
     # superassociativity compares m**(n+1) equations per distinct column of
-    # the superposition table, the mixed laws 2 * n * m**(n+2)
-    columns = {column.tobytes() for column in zero_proj.superposition.reshape(2, 4).T}
-    phases = [("superassociativity", 2**3 * len(columns)), ("mixed laws", 2 * 2 * 2**4)]
-    assert phases[0][1] < phases[1][1]
-    argv = ["check", "--algebra", paths["alg"]]
+    # the superposition table, the mixed laws 2 * n * m**(n+2); on this m=4
+    # algebra both exceed associativity's n * m**3, which runs first under
+    # the same cap
+    alg = abstract_from_concrete(generate_concrete(GeneratorConfig(
+        arity=2, base_size=2, generator_count=1, seed=5)))
+    assert alg.size == 4
+    path = tmp_path / "alg.json"
+    save_algebra(alg, str(path))
+    columns = {column.tobytes() for column in alg.superposition.reshape(4, 16).T}
+    phases = [("superassociativity", 4**3 * len(columns)), ("mixed laws", 2 * 2 * 4**4)]
+    assert 2 * 4**3 < phases[0][1] < phases[1][1]
+    argv = ["check", "--algebra", str(path)]
     for phase, count in phases:
-        monkeypatch.setattr(algebra, "MAX_MENGER_EQUATIONS", count - 1)
+        monkeypatch.setattr(algebra, "MAX_LAW_EQUATIONS", count - 1)
         with pytest.raises(CapacityError) as err:
-            check_menger_identities(zero_proj)
+            check_menger_identities(alg)
         assert err.value.count == count
         assert main(argv) == 3
         assert f"Menger identities: {phase} of {count} equations" in capsys.readouterr().err
-    monkeypatch.setattr(algebra, "MAX_MENGER_EQUATIONS", phases[1][1])
+    monkeypatch.setattr(algebra, "MAX_LAW_EQUATIONS", phases[1][1])
     assert main(argv) == 0
+
+
+def test_verify_bounds_keep_every_verdict_when_pi_has_no_closure(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the word systems A and B are judged against pi's closure, which exists
+    # only for an l-regular equivalence pi; for any other pi they are left
+    # out, and the conditions report what pi breaks
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
+                                             seed=8))
+    alg, m = abstract_from_concrete(conc), len(conc)
+    chi, gamma, _ = domain_relations(conc)
+    merges = (BinRelation.from_pairs(m, [(a, a) for a in range(m)] + [(x, y), (y, x)])
+              for x, y in combinations(range(m), 2))
+    merge = next(pi for pi in merges if is_l_regular(pi, alg) is not None)
+    monkeypatch.chdir(tmp_path)
+    save_algebra(conc, "alg.json")
+    for name, rel in (("chi", chi), ("gamma", gamma), ("merge", merge)):
+        save_relation(rel, f"{name}.json")
+    cases = [("chi.json", "pi-equivalence"), ("merge.json", "pi-l-regular")]
+    for (pi, failed), target in product(cases, ("triplet", "pair_gamma_pi", "single_pi")):
+        argv = ["verify", "--algebra", "alg.json", "--target", target, "--chi", "chi.json",
+                "--gamma", "gamma.json", "--pi", pi]
+        assert main(argv) == 1
+        without = capsys.readouterr().out
+        assert main(argv + ["--bounds", "4,4"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.err
+        assert captured.out.startswith(without)
+        added = captured.out[len(without):].splitlines()
+        assert [line.split()[:2] for line in added] == [
+            ["PASS", "word-system-C-consistent"]]
+        expected = {"triplet": "T1:pi-is-chi-kernel", "pair_gamma_pi": f"T2:{failed}",
+                    "single_pi": f"T6:{failed}"}[target]
+        assert ["FAIL", expected] in [line.split()[:2] for line in without.splitlines()]
 
 
 def test_universe_over_the_cell_cap_exits_3(paths, zero_proj, zero_proj_concrete,
@@ -333,3 +392,14 @@ def test_check_reports_a_concrete_file_that_is_not_closed(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdicts"] == [{"name": "concrete-closure", "ok": False,
                                 "detail": "f0 *1 f16"}]
+
+
+@pytest.mark.parametrize("instance", sorted(golden_reports.INSTANCES))
+def test_reports_match_golden(instance, tmp_path, monkeypatch):
+    with open(golden_reports.golden_path(instance), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    monkeypatch.chdir(tmp_path)
+    entries = golden_reports.reports(instance)
+    assert [e["argv"] for e in entries] == [e["argv"] for e in golden]
+    for entry, expected in zip(entries, golden):
+        assert entry == expected, " ".join(entry["argv"])

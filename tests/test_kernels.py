@@ -510,6 +510,54 @@ def test_menger_identity_memory_is_bounded_at_m45():
     assert menger_identity_peak(1, 130, 45) < 12 * 2**20
 
 
+def associative_tables(m, rng):
+    """A seeded associative table on m elements: a left- or right-zero
+    band, min, max, a constant or addition mod m."""
+    x, y = np.indices((m, m))
+    return [x, y, np.minimum(x, y), np.maximum(x, y), np.zeros_like(x),
+            (x + y) % m][rng.integers(6)]
+
+
+def test_associativity_matches_loops_on_random_tables(monkeypatch):
+    # 400 plain algebras of 1-3 slots on 1-7 elements: random slot tables,
+    # which mostly fail early, and associative ones with one or two cells
+    # changed, which fail anywhere or nowhere
+    rng = np.random.default_rng(400)
+    laws = set()
+    for case in range(400):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        mann = []
+        for _ in range(n):
+            if case % 4 == 0:
+                table = rng.integers(m, size=(m, m))
+            else:
+                table = associative_tables(m, rng).copy()
+                for _ in range(case % 3):
+                    table[tuple(rng.integers(m, size=2))] = rng.integers(m)
+            mann.append(table.tolist())
+        alg = AbstractAlgebra(n, m, mann, None, None, "plain")
+        expected = associativity_by_loops(alg)
+        assert check_associativity(alg) == expected
+        with monkeypatch.context() as patch:
+            single_row_blocks(patch)
+            assert check_associativity(alg) == expected
+        laws.add(None if expected is None else expected.law)
+    assert {None, "associativity:1", "associativity:2", "associativity:3"} <= laws
+
+
+def test_associativity_memory_is_bounded_at_m200():
+    # a left-zero band: measured 3.3 MB; the three m**3 grids per slot took 130 MB
+    x = np.indices((200, 200))[0]
+    alg = AbstractAlgebra(2, 200, [x.tolist(), x.tolist()], None, None, "plain")
+    tracemalloc.start()
+    try:
+        assert check_associativity(alg) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 # -- the concrete side against its cell-by-cell loops -------------------------
 
 # the perfbench catalogue (scale and queries workloads)

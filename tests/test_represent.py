@@ -9,7 +9,6 @@ from mengerkit import (
     Representation,
     abstract_from_concrete,
     build_closure,
-    build_representation,
     build_universe,
     domain_relations,
     identity_representation,
@@ -92,13 +91,13 @@ def test_universe_cached(zero_proj):
 
 def test_one_element_pair_part_total(one_elem):
     chi = BinRelation.diagonal(1)
-    rep = build_representation(one_elem, chi, ("pair", 0, 0))
+    rep = sum_over_pairs(one_elem, chi, rel(1, [(0, 0)]))
     assert (rep.parts[0].assign == 0).all()
 
 
 def test_zero_proj_pair_part_domains(zero_proj):
     chi0 = build_closure(zero_proj, "chi0")
-    rep = build_representation(zero_proj, chi0, ("pair", 1, 1))
+    rep = sum_over_pairs(zero_proj, chi0, rel(2, [(1, 1)]))
     part = rep.parts[0]
     universe = part.universe
     # the projection is defined exactly where its value stays itself
@@ -110,23 +109,21 @@ def test_zero_proj_pair_part_domains(zero_proj):
 
 def test_zero_proj_point_part_total(zero_proj):
     chi0 = build_closure(zero_proj, "chi0")
-    rep = build_representation(zero_proj, chi0, ("point", 0))
+    rep = sum_over_pairs(zero_proj, chi0, rel(2, [(0, 0)]))
     assert (rep.parts[0].assign >= 0).all()
 
 
 def test_chi_precondition_enforced(zero_proj):
     with pytest.raises(InputError):
-        build_representation(zero_proj, BinRelation.diagonal(2), ("pair", 0, 0))
+        sum_over_pairs(zero_proj, BinRelation.diagonal(2), rel(2, [(0, 0)]))
     with pytest.raises(InputError):
-        build_representation(zero_proj, rel(2, [(0, 1)]), ("point", 0))
+        sum_over_pairs(zero_proj, rel(2, [(0, 1)]), rel(2, [(0, 0)]))
 
 
-def test_mode_validation(zero_proj):
+def test_pair_anchors_must_lie_in_the_carrier(zero_proj):
     chi0 = build_closure(zero_proj, "chi0")
     with pytest.raises(InputError):
-        build_representation(zero_proj, chi0, ("pair", 0, 5))
-    with pytest.raises(InputError):
-        build_representation(zero_proj, chi0, ("ray", 0))
+        sum_over_pairs(zero_proj, chi0, rel(6, [(0, 5)]))
 
 
 # -- relations of representations ---------------------------------------
@@ -134,7 +131,7 @@ def test_mode_validation(zero_proj):
 
 def test_single_part_relations(one_elem):
     chi = BinRelation.diagonal(1)
-    rep = build_representation(one_elem, chi, ("pair", 0, 0))
+    rep = sum_over_pairs(one_elem, chi, rel(1, [(0, 0)]))
     chi_p, gamma_p, pi_p = representation_relations(rep)
     assert sorted(chi_p.pairs()) == [(0, 0)]
     assert sorted(gamma_p.pairs()) == [(0, 0)]
@@ -171,15 +168,15 @@ def test_empty_sum_conventions():
 
 def test_sum_of_one_part_is_that_part(zero_proj):
     chi0 = build_closure(zero_proj, "chi0")
-    rep = build_representation(zero_proj, chi0, ("pair", 1, 1))
+    rep = sum_over_pairs(zero_proj, chi0, rel(2, [(1, 1)]))
     total = sum_representations([rep])
     assert representation_relations(total) == representation_relations(rep)
 
 
 def test_sum_combines_per_component(zero_proj):
     chi0 = build_closure(zero_proj, "chi0")
-    pair_rep = build_representation(zero_proj, chi0, ("pair", 1, 1))
-    point_rep = build_representation(zero_proj, chi0, ("point", 0))
+    pair_rep = sum_over_pairs(zero_proj, chi0, rel(2, [(1, 1)]))
+    point_rep = sum_over_pairs(zero_proj, chi0, rel(2, [(0, 0)]))
     total = sum_representations([pair_rep, point_rep])
     chi_p, gamma_p, pi_p = representation_relations(total)
     chi_1, gamma_1, pi_1 = representation_relations(pair_rep)
@@ -191,8 +188,8 @@ def test_sum_combines_per_component(zero_proj):
 
 def test_sum_rejects_carrier_mismatch(zero_proj, one_elem):
     chi0 = build_closure(zero_proj, "chi0")
-    rep2 = build_representation(zero_proj, chi0, ("point", 0))
-    rep1 = build_representation(one_elem, BinRelation.diagonal(1), ("point", 0))
+    rep2 = sum_over_pairs(zero_proj, chi0, rel(2, [(0, 0)]))
+    rep1 = sum_over_pairs(one_elem, BinRelation.diagonal(1), rel(1, [(0, 0)]))
     with pytest.raises(InputError):
         sum_representations([rep1, rep2])
 
@@ -201,7 +198,7 @@ def test_sum_rejects_carrier_mismatch(zero_proj, one_elem):
 
 
 def test_homomorphism_fixtures(one_elem, zero_proj):
-    rep = build_representation(one_elem, BinRelation.diagonal(1), ("pair", 0, 0))
+    rep = sum_over_pairs(one_elem, BinRelation.diagonal(1), rel(1, [(0, 0)]))
     assert verify_homomorphism(rep, one_elem) is None
     chi0 = build_closure(zero_proj, "chi0")
     rep = sum_over_pairs(zero_proj, chi0, rel(2, [(1, 1)]))
@@ -216,7 +213,7 @@ def test_homomorphism_on_plain(zero_proj_plain):
 
 def test_corrupted_assignment_is_flagged(zero_proj):
     chi0 = build_closure(zero_proj, "chi0")
-    rep = build_representation(zero_proj, chi0, ("point", 0))
+    rep = sum_over_pairs(zero_proj, chi0, rel(2, [(0, 0)]))
     corrupted = rep.parts[0].assign.copy()
     corrupted[1, 0] = 1 - corrupted[1, 0]
     from mengerkit.represent import ReprPart
@@ -236,7 +233,7 @@ def test_identity_representation_is_faithful(zero_proj_concrete):
 
 def test_collision_reported(zero_proj):
     chi0 = build_closure(zero_proj, "chi0")
-    rep = build_representation(zero_proj, chi0, ("pair", 1, 1))
+    rep = sum_over_pairs(zero_proj, chi0, rel(2, [(1, 1)]))
     part = rep.parts[0]
     collided = part.assign.copy()
     collided[0] = collided[1]
@@ -246,7 +243,7 @@ def test_collision_reported(zero_proj):
 
 
 def test_one_element_vacuously_faithful(one_elem):
-    rep = build_representation(one_elem, BinRelation.diagonal(1), ("point", 0))
+    rep = sum_over_pairs(one_elem, BinRelation.diagonal(1), rel(1, [(0, 0)]))
     assert is_faithful(rep) is None
 
 
