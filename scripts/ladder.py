@@ -1,0 +1,135 @@
+"""Time the relation predicates on a fixed ladder of forge algebras.
+
+Each rung is the menger algebra of ``GeneratorConfig(arity=2, base_size=3,
+generator_count=1, seed=s, closure_cap=130)`` for one seed s, with its
+realized domain relations chi, gamma and pi.  Each rung runs in its own
+child process under a 3 GB address-space limit, so that an oversized
+array ends the rung with a MemoryError instead of taking the machine's
+memory.  For each rung it records the carrier size, the number of right
+translations and of distinct ones, and for ``is_l_regular(chi)``,
+``is_l_cancellative(gamma)`` and ``verify_conditions`` on the triplet
+target: the wall time of the first call (which builds the algebra's
+derived tables) and of a second one, and the tracemalloc peak of a third
+(timed calls run untraced: tracing slows the Python loops of the state
+search several times over).
+
+Usage::
+
+    python scripts/ladder.py [LABEL=CHECKOUT ...] > ladder.json
+
+Each argument names a checkout whose ``src`` directory mengerkit is
+imported from (default: ``change=`` this script's checkout), so two trees
+can be measured by one run.  The JSON report goes to stdout.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+SEEDS = (1, 19, 27, 36)  # m = 45, 81, 108, 128
+ADDRESS_SPACE_BYTES = 3 * 2**30
+RUNG_TIMEOUT_S = 900
+
+
+def timed(call):
+    """(result, seconds) of one call."""
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+def traced_peak(call) -> float:
+    """The tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def run_rung(seed: int) -> dict:
+    """Measure one rung in this process; mengerkit is already importable."""
+    from mengerkit import (GeneratorConfig, Target, abstract_from_concrete,
+                           domain_relations, generate_concrete, is_l_cancellative,
+                           is_l_regular, verify_conditions)
+    from mengerkit.algebra import distinct_columns, right_translations
+
+    start = time.perf_counter()
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
+                                             seed=seed, closure_cap=130))
+    alg = abstract_from_concrete(conc)
+    chi, gamma, pi = domain_relations(conc)
+    rung = {"seed": seed, "m": alg.size, "generate_s": round(time.perf_counter() - start, 4)}
+    calls = {
+        "is_l_regular(chi)": lambda: is_l_regular(chi, alg),
+        "is_l_cancellative(gamma)": lambda: is_l_cancellative(gamma, alg),
+        "verify_conditions(triplet)": lambda: verify_conditions(
+            alg, Target("triplet", chi=chi, gamma=gamma, pi=pi)).ok,
+    }
+    for name, call in calls.items():
+        result, first = timed(call)
+        _, again = timed(call)
+        rung[name] = {"result": repr(result), "first_s": round(first, 5),
+                      "again_s": round(again, 5),
+                      "again_peak_mb": round(traced_peak(call), 3)}
+    table, _ = right_translations(alg)
+    rung["translations"] = int(table.shape[1])
+    rung["translation_classes"] = len(distinct_columns(table))
+    return rung
+
+
+def child(seed: int, src: str):
+    """Entry point of a rung's child process: prints the rung as JSON."""
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_BYTES, ADDRESS_SPACE_BYTES))
+    sys.path.insert(0, src)
+    try:
+        rung = run_rung(seed)
+    except Exception as exc:  # a failing rung (MemoryError, CapacityError) is its result
+        rung = {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+    print(json.dumps(rung))
+
+
+def measure(checkout: Path, seed: int) -> dict:
+    src = str((checkout / "src").resolve())
+    # one thread, as in perfbench: a BLAS thread pool reserves address
+    # space per thread, which would count against the rung's limit
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    try:
+        done = subprocess.run([sys.executable, __file__, "--rung", str(seed), src],
+                              capture_output=True, text=True, env=env,
+                              timeout=RUNG_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"seed": seed, "error": f"timeout after {RUNG_TIMEOUT_S} s"}
+    if done.returncode != 0 or not done.stdout.strip():
+        return {"seed": seed, "error": f"exit {done.returncode}: {done.stderr.strip()[-400:]}"}
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main(argv: list[str]):
+    if argv[:1] == ["--rung"]:
+        child(int(argv[1]), argv[2])
+        return
+    checkouts = [arg.split("=", 1) for arg in argv] or [
+        ("change", str(Path(__file__).resolve().parents[1]))]
+    report = {"config": "GeneratorConfig(arity=2, base_size=3, generator_count=1, "
+                        "seed=s, flavor='menger', closure_cap=130)",
+              "address_space_limit_bytes": ADDRESS_SPACE_BYTES,
+              "host": {"platform": platform.platform(), "machine": platform.machine(),
+                       "cpus": os.cpu_count(), "python": platform.python_version()},
+              "runs": {}}
+    for label, path in checkouts:
+        report["runs"][label] = [measure(Path(path), seed) for seed in SEEDS]
+    print(json.dumps(report, indent=2))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

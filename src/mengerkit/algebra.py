@@ -84,9 +84,9 @@ class AbstractAlgebra:
     ``mann`` is a read-only (n, m, m) intp array and ``superposition`` a
     read-only (m,) * (n + 1) intp array, or None on plain flavor.  Every
     value derived from the tables (word states, zero, plain reduct, seed
-    relations, translation table, universe, oracle family) is computed once
-    through :meth:`derived` and kept for the algebra's lifetime, so it is
-    observable as if computed eagerly.
+    relations, translation table and its classes, universe, oracle family)
+    is computed once through :meth:`derived` and kept for the algebra's
+    lifetime, so it is observable as if computed eagerly.
     """
 
     def __init__(self, arity, size, mann, superposition=None, zero=None,
@@ -177,6 +177,19 @@ def right_translations(alg: AbstractAlgebra):
         return _read_only(table), args
 
     return alg.derived("translations", compute)
+
+
+def translation_classes(alg: AbstractAlgebra):
+    """(reps, table), kept with the algebra: the columns of
+    right_translations that start a class of equal columns (see
+    distinct_columns), and the read-only (m, classes) table of those
+    columns, one distinct right translation each."""
+    def compute():
+        table, _ = right_translations(alg)
+        reps = distinct_columns(table.astype(np.min_scalar_type(alg.size - 1)))
+        return reps, _read_only(table.take(reps, axis=1))  # C order, for row gathers
+
+    return alg.derived("translation classes", compute)
 
 
 @dataclass(frozen=True)

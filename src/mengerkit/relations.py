@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EMPTY, AbstractAlgebra, Violation, _first, right_translations
+from . import algebra
+from .algebra import (EMPTY, AbstractAlgebra, Violation, _first, right_translations,
+                      translation_classes)
 from .bitrel import BinRelation, _product
 from .errors import InputError
 
@@ -36,19 +38,37 @@ def _translated_violation(r: BinRelation, alg: AbstractAlgebra, related: bool,
                           law: str, details: tuple[str, str]) -> Violation | None:
     """First (x, y, translation) with x r y == related but t(x) r t(y) !=
     related, over the pairs in row-major order and the translations in
-    table order; details are for slot and superposition translations."""
+    table order; details are for slot and superposition translations.
+
+    The law depends on a translation only through its map, so it is
+    decided once per class of equal columns (translation_classes), for
+    blocks of rows x of at most BLOCK_ELEMENTS (x, y, class) entries, or
+    one row; the landing index beside them takes m * classes entries, as
+    the class table does.  Classes are numbered by first occurrence, so
+    the first failing class of a pair starts at the pair's first failing
+    column."""
     _check_sized(r, alg)
     R = r.matrix
-    T, args = right_translations(alg)
-    held = R[T[:, None, :], T[None, :, :]]  # axes (x, y, column)
-    where = _first(R[:, :, None] > held if related else R[:, :, None] < held)
-    if where is None:
+    reps, classes = translation_classes(alg)
+    m, count = classes.shape
+    # images[x, c * m + j] = R[t_c(x), j], so images[x, landing[y, c]] = R[t_c(x), t_c(y)]
+    landing = classes + m * np.arange(count)
+    rows = max(1, algebra.BLOCK_ELEMENTS // (m * count))
+    for start in range(0, m, rows):
+        images = R[classes[start : start + rows]].reshape(-1, count * m)
+        held = images.take(landing, axis=1)  # axes (x, y, class)
+        before = R[start : start + rows, :, None]
+        where = _first(before > held if related else before < held)
+        if where is not None:
+            break
+    else:
         return None
-    x, y, column = where
-    slots = alg.arity * alg.size
+    x, y, c = where
+    x, column, slots = start + x, int(reps[c]), alg.arity * alg.size
     if column < slots:
         return Violation(f"{law}-slot:{column // alg.size + 1}",
                          (x, y, column % alg.size), details[0])
+    _, args = right_translations(alg)
     return Violation(f"{law}-superposition",
                      (x, y, tuple(int(z) for z in args[column - slots])), details[1])
 

@@ -43,7 +43,12 @@ from mengerkit import (
     verify_homomorphism,
 )
 from mengerkit import algebra, fileio, forge, represent
-from mengerkit.algebra import StateSpace, _mixed_law_violation, _zero_law_violation
+from mengerkit.algebra import (
+    StateSpace,
+    _mixed_law_violation,
+    _zero_law_violation,
+    translation_classes,
+)
 from mengerkit.relations import _least_v_negative, _seed_relations
 from mengerkit.represent import ReprPart
 from mengerkit.theorems import TARGET_KINDS
@@ -408,14 +413,20 @@ def relation_cases(alg, conc, rng, count=4):
     return cases
 
 
-def assert_kernels_match_loops(alg, relations, seen):
-    """Every predicate on every relation, the laws and every zero candidate,
-    and the seed relations: identical results, witnesses included."""
+def assert_kernels_match_loops(alg, relations, seen, monkeypatch):
+    """Every predicate on every relation (l-regularity and
+    l-cancellativity also with one row per block), the laws and every zero
+    candidate, and the seed relations: identical results, witnesses
+    included."""
     for r in relations:
         for ours, loops in PREDICATES:
             violation = ours(r, alg)
             assert violation == loops(r, alg), (ours.__name__, r)
             seen.add((ours.__name__, None if violation is None else violation.law))
+            if ours is not is_v_negative:
+                with monkeypatch.context() as patch:
+                    single_row_blocks(patch)
+                    assert ours(r, alg) == violation, (ours.__name__, r)
     violation = check_associativity(alg)
     assert violation == associativity_by_loops(alg)
     seen.add(("associativity", None if violation is None else violation.law))
@@ -427,29 +438,29 @@ def assert_kernels_match_loops(alg, relations, seen):
         assert _seed_relations(alg, plain) == seed_relations_by_loops(alg, plain)
 
 
-def test_battery_kernels_match_loops(menger_battery, plain_battery):
+def test_battery_kernels_match_loops(menger_battery, plain_battery, monkeypatch):
     rng = np.random.default_rng(6)
     seen = set()
     for conc in menger_battery[:40] + plain_battery[:30]:
         alg = abstract_from_concrete(conc)
-        assert_kernels_match_loops(alg, relation_cases(alg, conc, rng), seen)
+        assert_kernels_match_loops(alg, relation_cases(alg, conc, rng), seen, monkeypatch)
     # both verdicts and every law family occurred
     for name in ("is_l_regular", "is_l_cancellative", "is_v_negative"):
         assert (name, None) in seen and len({law for n, law in seen if n == name}) >= 2
     assert {("zero", None), ("zero", "zero-left"), ("zero", "zero-right")} <= seen
 
 
-def test_m18_kernels_match_loops(m18):
+def test_m18_kernels_match_loops(m18, monkeypatch):
     alg, _ = m18
     conc = generate_concrete(GeneratorConfig(arity=2, base_size=3,
                                              generator_count=1, seed=8))
     seen = set()
     assert_kernels_match_loops(alg, relation_cases(alg, conc, np.random.default_rng(18)),
-                               seen)
+                               seen, monkeypatch)
     assert ("is_l_regular", None) in seen and ("is_v_negative", None) in seen
 
 
-def test_perturbed_tables_kernels_match_loops(m18, menger_battery):
+def test_perturbed_tables_kernels_match_loops(m18, menger_battery, monkeypatch):
     # the seeded single-cell perturbations of the m18 tables, and of a few
     # smaller battery algebras, so that laws and zero laws fail in many ways
     alg, _ = m18
@@ -464,11 +475,70 @@ def test_perturbed_tables_kernels_match_loops(m18, menger_battery):
             sup[source.zero, 0, 0] = (source.zero + 1) % source.size
             perts.append(AbstractAlgebra(2, source.size, source.mann, sup))
         for pert in perts:
-            assert_kernels_match_loops(pert, relation_cases(pert, None, rng, 3), seen)
+            assert_kernels_match_loops(pert, relation_cases(pert, None, rng, 3), seen,
+                                       monkeypatch)
     assert len({law for n, law in seen if n == "associativity"}) >= 2
     assert {("zero", "zero-superposition-arg"), ("zero", "zero-superposition-head"),
             ("is_v_negative", "v-negative-superposition"),
             ("is_l_cancellative", "l-cancellative-superposition")} <= seen
+
+
+def planted_band(m, columns):
+    """The n=2 menger left-zero band on m elements, whose right
+    translations are all the identity, with the translations at the given
+    columns of right_translations replaced by x -> x, but 3 -> 4: every
+    translation but those is one class."""
+    f = np.arange(m)
+    f[3] = 4
+    mann = np.broadcast_to(np.arange(m)[None, :, None], (2, m, m)).copy()
+    sup = np.broadcast_to(np.arange(m)[:, None, None], (m, m, m)).copy()
+    for k in columns:
+        if k < 2 * m:
+            mann[k // m][:, k % m] = f
+        else:
+            sup[(slice(None), *divmod(k - 2 * m, m))] = f
+    return AbstractAlgebra(2, m, mann, sup, flavor="menger")
+
+
+@pytest.mark.parametrize("columns, law, z", [
+    ((17,), "superposition", (1, 2)),
+    # the superposition translation x[0, 0] has the map of the slot one
+    # x *2 4 before it: the witness names the slot
+    ((10, 9), "slot:2", 4),
+])
+def test_planted_translations_match_loops(columns, law, z, monkeypatch):
+    m = 5
+    alg = planted_band(m, columns)
+    assert translation_classes(alg)[0].tolist() == [0, min(columns)]
+    # rows 0-2 hold pairs that pass; (3, 3) fails on the planted map
+    regular = BinRelation.from_pairs(m, [(0, 0), (0, 1), (1, 1), (2, 2), (3, 3)])
+    cancellative = BinRelation.from_pairs(m, [(0, 0), (4, 4)])
+    # one block, one row per block, and two: rows 0 and 1 pass, then (3, 3)
+    # fails in the second row of the second block
+    for block in (algebra.BLOCK_ELEMENTS, 1, 2 * m * 2):
+        monkeypatch.setattr(algebra, "BLOCK_ELEMENTS", block)
+        for ours, loops, r in ((is_l_regular, l_regular_by_loops, regular),
+                               (is_l_cancellative, l_cancellative_by_loops, cancellative)):
+            violation = ours(r, alg)
+            assert violation == loops(r, alg)
+            assert violation.law.endswith(law) and violation.witness == (3, 3, z)
+
+
+def test_l_regular_memory_is_bounded_at_m45():
+    # measured 0.6 MB once the class table is kept; the whole (x, y,
+    # translation) array of 45 * 45 * 2115 entries took 8.2 MB
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
+                                             seed=1, closure_cap=130))
+    alg = abstract_from_concrete(conc)
+    chi = domain_relations(conc)[0]
+    assert alg.size == 45 and is_l_regular(chi, alg) is None
+    tracemalloc.start()
+    try:
+        assert is_l_regular(chi, alg) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_tables_and_states_are_read_only(m18):

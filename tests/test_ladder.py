@@ -1,0 +1,18 @@
+"""The ladder script (``scripts/ladder.py``) measures through the package
+API; a rename that would break it fails here first."""
+
+import importlib.util
+from pathlib import Path
+
+LADDER = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
+
+
+def test_first_rung_measures_every_call():
+    spec = importlib.util.spec_from_file_location("ladder", LADDER)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    rung = ladder.run_rung(1)
+    assert (rung["m"], rung["translations"], rung["translation_classes"]) == (45, 2115, 90)
+    results = [rung[name]["result"] for name in (
+        "is_l_regular(chi)", "is_l_cancellative(gamma)", "verify_conditions(triplet)")]
+    assert results == ["None", "None", "True"]
