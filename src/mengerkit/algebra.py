@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .tables import MAX_ARITY, ConcreteAlgebra, _keys
+from .tables import MAX_ARITY, ConcreteAlgebra, _keys, first_occurrences
 
 EMPTY = -1  # unoccupied slot marker; only valid at its own position
 
@@ -83,10 +83,11 @@ class AbstractAlgebra:
 
     ``mann`` is a read-only (n, m, m) intp array and ``superposition`` a
     read-only (m,) * (n + 1) intp array, or None on plain flavor.  Every
-    value derived from the tables (word states, zero, plain reduct, seed
-    relations, translation table and its classes, universe, oracle family)
-    is computed once through :meth:`derived` and kept for the algebra's
-    lifetime, so it is observable as if computed eagerly.
+    value derived from the tables (word states and their word pairs, zero,
+    plain reduct, seed relations, translation table and its classes,
+    universe, oracle family) is computed once through :meth:`derived` and
+    kept for the algebra's lifetime, so it is observable as if computed
+    eagerly.
     """
 
     def __init__(self, arity, size, mann, superposition=None, zero=None,
@@ -252,9 +253,10 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
     A state is one fixed-width row: n slot entries (EMPTY coded as m),
     then m action entries, in the smallest unsigned dtype that holds m.
     The frontier is expanded in blocks of at most STATE_BLOCK_CHILDREN
-    children, each gathered from the mann tables, deduplicated by row key
-    and looked up once per distinct row.  Raises CapacityError with count
-    cap + 1 when more than ``cap`` states are reachable."""
+    children, each gathered from the mann tables, split into classes of
+    equal rows (first_occurrences) and looked up once per class.  Raises
+    CapacityError with count cap + 1 when more than ``cap`` states are
+    reachable."""
     n, m = alg.arity, alg.size
     width, fan = n + m, n * m  # row width, children per parent
     dtype = np.min_scalar_type(m)
@@ -285,21 +287,11 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
             children[:, slot] = step[slot][parents].transpose(0, 2, 1)
             children[:, slot, :, slot] = fill[slot][parents[:, slot]]
         children = children.reshape(-1, width)
-        # each distinct row's first and second occurrence, by the first one;
-        # bounds[i] marks where a run of equal keys starts (or all end)
-        keys = _keys(children)
-        by_key = keys.argsort(kind="stable")
-        ranked = keys[by_key]
-        bounds = np.ones(len(keys) + 1, bool)
-        bounds[1:-1] = ranked[1:] != ranked[:-1]
-        heads = bounds[:-1].nonzero()[0]
-        heads = heads[by_key[heads].argsort()]
+        first, second = first_occurrences(children)
         base = start * fan
-        # (heads + 1 wraps only where the run has no second occurrence)
-        seconds = np.where(bounds[heads + 1], -1, by_key[(heads + 1) % len(keys)] + base)
         fresh = []  # the children that are new states, in event order
-        for key, one, two in zip(ranked[heads].tolist(), (by_key[heads] + base).tolist(),
-                                 seconds.tolist()):
+        for key, one, two in zip(_keys(children)[first].tolist(), (first + base).tolist(),
+                                 np.where(second < 0, -1, second + base).tolist()):
             state = seen.get(key)  # one lookup per distinct row
             if state is None:
                 seen[key] = len(first_event)
@@ -324,13 +316,11 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
 def _shared_slots(space: StateSpace) -> tuple[int, int] | None:
     """The first two states, in BFS order, of the first group of states
     with equal occupants (groups in order of their first state), or None."""
-    keys = _keys(space.slots)
-    by_key = keys.argsort(kind="stable")  # equal keys stay in BFS order
-    repeats = np.flatnonzero(keys[by_key[1:]] == keys[by_key[:-1]])
-    if not repeats.size:
+    first, second = first_occurrences(space.slots)
+    twinned = np.flatnonzero(second >= 0)
+    if not twinned.size:
         return None
-    i = repeats[by_key[repeats].argmin()]  # the lowest state with a later twin
-    return int(by_key[i]), int(by_key[i + 1])
+    return int(first[twinned[0]]), int(second[twinned[0]])
 
 
 def check_representability(alg: AbstractAlgebra) -> Violation | None:
@@ -430,12 +420,7 @@ def distinct_columns(table: np.ndarray) -> np.ndarray:
     """The first column of each class of equal columns of a 2-D table,
     ascending: class c, numbered by first occurrence, starts at column
     reps[c], and no class starts before a lower-numbered one."""
-    keys = _keys(table.T)
-    by_key = keys.argsort(kind="stable")  # equal columns stay in order
-    ranked = keys[by_key]
-    starts = np.ones(len(keys), bool)
-    starts[1:] = ranked[1:] != ranked[:-1]
-    return np.sort(by_key[starts])
+    return first_occurrences(table.T)[0]
 
 
 def fold_arguments(table: np.ndarray, n: int, start: int, stop: int, combine) -> np.ndarray:

@@ -231,6 +231,8 @@ def cmd_oracle(args, report: Report) -> None:
 
 
 def cmd_generate(args, report: Report) -> None:
+    if args.count < 1:
+        raise InputError(f"count must be at least 1, got {args.count}")
     os.makedirs(args.out_dir, exist_ok=True)
     for k in range(args.count):
         cfg = GeneratorConfig(

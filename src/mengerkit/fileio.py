@@ -278,10 +278,9 @@ def representation_from_doc(doc: dict) -> Representation:
         labels = raw.get("labels", [])
         if type(labels) is not list or any(type(label) is not str for label in labels):
             raise InputError(f"{spot}: labels must be a list of strings")
-        covers = len({p for p in points if BLANK not in p}) == value_size**n
-        if kind == "base" and not covers:
+        universe = Universe(n, value_size, points, kind)
+        if kind == "base" and not universe.has_all_tuples:
             raise InputError(f"{spot}: a base universe must hold every tuple")
-        universe = Universe(n, value_size, points, kind, has_all_tuples=covers)
         assign = np.array(assign, dtype=np.int64).reshape(size, len(points))
         parts.append(ReprPart(universe, assign, tuple(labels)))
     return Representation(size, tuple(parts))

@@ -134,7 +134,6 @@ def identity_representation(conc: ConcreteAlgebra) -> Representation:
     if len(conc.functions) == 0:
         raise InputError("identity representation needs a nonempty algebra")
     points = list(product(range(conc.base_size), repeat=conc.arity))
-    universe = Universe(conc.arity, conc.base_size, points, "base",
-                        has_all_tuples=True)
+    universe = Universe(conc.arity, conc.base_size, points, "base")
     part = ReprPart(universe, conc.table, ("identity",))
     return Representation(len(conc.functions), (part,))

@@ -128,20 +128,24 @@ def is_v_negative(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
                      "x[y..] not below y_i")
 
 
-def _word_pairs(alg: AbstractAlgebra) -> np.ndarray:
-    """(m, m) bool array: each word result paired with each occupant."""
-    space = alg.states()
-    pairs = np.zeros((alg.size, alg.size), dtype=bool)
-    s, j = np.nonzero(space.slots != EMPTY)
-    pairs[space.actions[s], space.slots[s, j][:, None]] = True
-    return pairs
+def _word_pairs(alg: AbstractAlgebra) -> BinRelation:
+    """Each word result paired with each occupant, kept with the algebra:
+    the composite-component relation of plain flavor and of bullet kinds."""
+    def compute():
+        space = alg.states()
+        pairs = np.zeros((alg.size, alg.size), dtype=bool)
+        s, j = np.nonzero(space.slots != EMPTY)
+        pairs[space.actions[s], space.slots[s, j][:, None]] = True
+        return BinRelation.from_array(pairs)
+
+    return alg.derived("word pairs", compute)
 
 
 def _least_v_negative(alg: AbstractAlgebra) -> BinRelation:
     """Word results below occupants and, on menger flavor, x[ys] below
     each y_i: a relation is v-negative exactly when it contains these."""
     def compute():
-        below = _word_pairs(alg)
+        below = _word_pairs(alg).matrix.copy()
         if alg.flavor == "menger":
             T, args = right_translations(alg)
             below[T[:, alg.arity * alg.size :][:, :, None], args] = True
@@ -150,7 +154,7 @@ def _least_v_negative(alg: AbstractAlgebra) -> BinRelation:
     return alg.derived("v-negative", compute)
 
 
-def seed_relations(alg: AbstractAlgebra, as_plain: bool = False):
+def seed_relations(alg: AbstractAlgebra):
     """(translation quasi-order or None, composite-component relation).
 
     The first relates t(g) to g for every inner translation t; it is
@@ -159,14 +163,13 @@ def seed_relations(alg: AbstractAlgebra, as_plain: bool = False):
     result of a word applied to any x to each slot occupant of the word,
     closed under a common superposition suffix in menger flavor.
     """
-    plain = as_plain or alg.flavor == "plain"
-    return alg.derived(("seeds", plain), lambda: _seed_relations(alg, plain))
+    return alg.derived("seeds", lambda: _seed_relations(alg))
 
 
-def _seed_relations(alg: AbstractAlgebra, plain: bool):
-    comp = _word_pairs(alg)
-    if plain:
-        return None, BinRelation.from_array(comp)
+def _seed_relations(alg: AbstractAlgebra):
+    if alg.flavor == "plain":
+        return None, _word_pairs(alg)
+    comp = _word_pairs(alg).matrix.copy()
     T, args = right_translations(alg)
     results = T[:, alg.arity * alg.size :]  # results[a, k] = a[args[k]]
     u, v = np.nonzero(comp)
@@ -180,11 +183,11 @@ def _seed_relations(alg: AbstractAlgebra, plain: bool):
 
 def _one_step_relation(alg: AbstractAlgebra, kind: str,
                        pi: BinRelation | None) -> BinRelation:
-    bullet = kind.endswith("bullet")
-    trans, comp = seed_relations(alg, as_plain=bullet)
-    r = comp.reflexive_closure()
-    if not bullet:
-        r = trans.then(r)
+    if kind.endswith("bullet"):  # the seeds of the plain reduct
+        r = _word_pairs(alg).reflexive_closure()
+    else:
+        trans, comp = seed_relations(alg)
+        r = trans.then(comp.reflexive_closure())
     if kind in ("chi_pi", "chi_pi_bullet"):
         r = pi.then(r)
     return r

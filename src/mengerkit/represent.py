@@ -63,34 +63,46 @@ BLANK = EMPTY  # placeholder coordinate, only valid at its own slot
 # points, 29 columns), 8.8e7 + 3.3e8 at m=81 (6724 points, 625 columns), and
 # 2.8e8 + 6.9e9 at m=108 (11 881 points, 5488 columns), which is refused
 MAX_HOM_EQUATIONS = 1 << 30
-# intp cells of a universe's substitution tables, points * n * (n*m + m + 1)
-# for the moved points and subst: 7.7 M for the 11 881-point universe at
-# m=108 (n=2); 1.3 G (10 GB) at DEFAULT_STATE_CAP states there is refused
+# intp cells of a universe's tables: points * n * (n*m + m + 1) for the
+# moved points and subst, plus (m + 1)**n for all_index when every carrier
+# tuple is a point: 7.7 M for the 11 881-point universe at m=108 (n=2);
+# 1.3 G (10 GB) at DEFAULT_STATE_CAP states there is refused, and so is a
+# one-point universe at n=32 and m=1 (2**32 index cells)
 MAX_UNIVERSE_CELLS = 1 << 26
 
 
-class Universe:
-    """Point list with substitution lookups and per-element value table."""
+def _check_universe_cells(count: int, n: int, size: int, all_tuples: bool):
+    """Raise CapacityError when a universe of ``count`` points, holding
+    every carrier tuple or not, needs more than MAX_UNIVERSE_CELLS cells."""
+    cells = count * n * (n * size + size + 1) + ((size + 1) ** n if all_tuples else 0)
+    if cells > MAX_UNIVERSE_CELLS:
+        raise CapacityError(f"universe of {count} points needs {cells} table "
+                            f"cells, over the cap of {MAX_UNIVERSE_CELLS}", count=cells)
 
-    def __init__(self, n, value_size, points, kind, values=None, has_all_tuples=False):
+
+class Universe:
+    """Point list with substitution lookups and per-element value table.
+
+    ``has_all_tuples`` is worked out from the points: they are distinct, so
+    every carrier tuple is among them exactly when value_size**n of them
+    have no placeholder coordinate."""
+
+    def __init__(self, n, value_size, points, kind, values=None):
         self.n = n
         self.value_size = value_size
         self.points = tuple(points)
         self.kind = kind  # "extended" | "base"
         self.values = values  # (carrier, points) array for extended universes
-        self.has_all_tuples = has_all_tuples
         count, size = len(self.points), value_size
-        cells = count * n * (n * size + size + 1)
-        if cells > MAX_UNIVERSE_CELLS:
-            raise CapacityError(f"universe of {count} points needs {cells} substitution "
-                                f"cells, over the cap of {MAX_UNIVERSE_CELLS}", count=cells)
+        self.has_all_tuples = sum(BLANK not in p for p in self.points) == size**n
+        _check_universe_cells(count, n, size, self.has_all_tuples)
         rows = np.array(self.points, dtype=np.intp).reshape(count, n)
         # subst[p, slot, v] is p with coordinate slot set to v, or -1, also at v =
         # value_size or -1 (undefined): one search finds the points themselves,
         # these moved points and every all-carrier tuple (for all_index)
         moved = np.repeat(rows[:, None], n * size, axis=1).reshape(count, n, size, n)
         moved[:, range(n), :, range(n)] = np.arange(size)
-        tuples = np.indices((size,) * n).reshape(n, -1).T if has_all_tuples else rows[:0]
+        tuples = np.indices((size,) * n).reshape(n, -1).T if self.has_all_tuples else rows[:0]
         found = row_lookup(rows)(np.concatenate([rows, moved.reshape(-1, n), tuples]))
         own, subst, all_index = np.split(found, [count, count * (1 + n * size)])
         if (own != np.arange(count)).any():
@@ -98,7 +110,7 @@ class Universe:
         self.subst = np.full((count, n, size + 1), -1, dtype=np.intp)
         self.subst[:, :, :-1] = subst.reshape(count, n, size)
         self.all_index = None  # all_index[c]: the all-carrier point c, padded with -1
-        if has_all_tuples:
+        if self.has_all_tuples:
             if (all_index < 0).any():
                 raise InputError("universe is missing all-tuple points")
             self.all_index = np.full((size + 1,) * n, -1, dtype=np.intp)
@@ -128,23 +140,31 @@ def _build_universe(alg: AbstractAlgebra) -> Universe:
             "algebra fails the representability implication; "
             f"occupants {tuple(space.slots[pair[0]].tolist())} reached with two actions")
 
-    # on menger flavor the carrier points come first, and a slot-complete
-    # state collapses into its carrier point, whose values must agree
-    points, blocks, own = [], [], np.arange(len(space.slots))
+    # on menger flavor a slot-complete state collapses into its carrier
+    # point, whose values must agree
     if not bullet:
         found = _word_superposition_mismatch(alg, space)
         if found is not None:
             s, g = found
             raise InputError(f"value routes disagree at point "
                              f"{tuple(space.slots[s].tolist())} for element {g}")
+
+    # the points, counted and refused over the cap before any is made: on
+    # menger flavor every carrier tuple, then the states with an empty slot,
+    # on plain flavor every state; then the blank point
+    complete = (space.slots != EMPTY).all(axis=1)
+    carrier = np.count_nonzero(complete) if bullet else m**n  # points, no placeholder
+    _check_universe_cells(carrier + np.count_nonzero(~complete) + 1, n, m, carrier == m**n)
+    points, blocks, own = [], [], np.arange(len(space.slots))
+    if not bullet:
         points = list(product(range(m), repeat=n))
         blocks = [alg.superposition.reshape(m, m**n)]
-        own = np.flatnonzero((space.slots == EMPTY).any(axis=1))
+        own = np.flatnonzero(~complete)
     points += [tuple(p) for p in space.slots[own].tolist()] + [(BLANK,) * n]
     values = np.concatenate(blocks + [space.actions[own].T, np.arange(m)[:, None]],
                             axis=1)
     _cross_witness_check(alg, space)
-    return Universe(n, m, points, "extended", values=values, has_all_tuples=not bullet)
+    return Universe(n, m, points, "extended", values=values)
 
 
 def _cross_witness_check(alg: AbstractAlgebra, space: StateSpace):
@@ -264,10 +284,7 @@ def sum_over_pairs(alg: AbstractAlgebra, chi: BinRelation,
 def sum_over_points(alg: AbstractAlgebra, chi: BinRelation) -> Representation:
     """Sum of one single-anchor part per carrier element; elements with
     the same chi row share one part."""
-    _validate_chi(alg, chi)
-    universe = build_universe(alg)
-    anchors = [(a, a) for a in range(alg.size)]
-    return Representation(alg.size, _anchored_parts(universe, chi, anchors))
+    return sum_over_pairs(alg, chi, BinRelation.diagonal(alg.size))
 
 
 def sum_representations(reps) -> Representation:

@@ -149,6 +149,22 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
+def first_occurrences(rows: np.ndarray):
+    """(first, second) over the classes of equal rows of a 2-D array,
+    numbered by first occurrence: class c's first row is first[c], which
+    ascends, and its second row second[c], or -1 when it has none."""
+    keys = _keys(rows)
+    by_key = keys.argsort(kind="stable")  # equal rows stay in order
+    ranked = keys[by_key]
+    # starts[i]: a run of equal keys starts at i (or, at the end, all end)
+    starts = np.ones(len(keys) + 1, bool)
+    starts[1:-1] = ranked[1:] != ranked[:-1]
+    heads = starts[:-1].nonzero()[0]
+    heads = heads[by_key[heads].argsort()]
+    # (heads + 1 wraps only where the run has no second row)
+    return by_key[heads], np.where(starts[heads + 1], -1, by_key[(heads + 1) % len(keys)])
+
+
 def row_lookup(rows: np.ndarray):
     """A function that maps a (k, width) array like the nonempty ``rows``
     to the index in ``rows`` of each of its rows (one of them where

@@ -352,6 +352,17 @@ def universe_tables_by_dict(universe):
     return subst, all_index
 
 
+def first_occurrences_by_dict(rows):
+    """(first, second) rows of each class of equal rows, classes in order
+    of their first row, -1 for a class of one, by one dict of row tuples.
+    Oracle for :func:`mengerkit.tables.first_occurrences`."""
+    classes: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows.tolist()):
+        classes.setdefault(tuple(row), []).append(i)
+    return ([members[0] for members in classes.values()],
+            [members[1] if len(members) > 1 else -1 for members in classes.values()])
+
+
 def _read_only_intp(rows, width):
     array = np.array(rows, dtype=np.intp).reshape(len(rows), width)
     array.flags.writeable = False

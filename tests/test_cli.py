@@ -211,7 +211,8 @@ def test_verify_bounds_keep_every_verdict_when_pi_has_no_closure(tmp_path, monke
 
 def test_universe_over_the_cell_cap_exits_3(paths, zero_proj, zero_proj_concrete,
                                             monkeypatch, capsys):
-    cells = len(build_universe(zero_proj)) * 2 * (2 * 2 + 2 + 1)  # n=2, m=2
+    # n=2, m=2: the substitution tables and the all-tuple index
+    cells = len(build_universe(zero_proj)) * 2 * (2 * 2 + 2 + 1) + 3**2
     argv = ["represent", "--algebra", paths["conc"], "--chi", paths["chi"],
             "--point-all", "--out", str(paths["dir"] / "rep.json")]
     monkeypatch.setattr(represent, "MAX_UNIVERSE_CELLS", cells - 1)
@@ -219,7 +220,7 @@ def test_universe_over_the_cell_cap_exits_3(paths, zero_proj, zero_proj_concrete
         build_universe(abstract_from_concrete(zero_proj_concrete))
     assert err.value.count == cells
     assert main(argv) == 3
-    assert f"needs {cells} substitution cells" in capsys.readouterr().err
+    assert f"needs {cells} table cells" in capsys.readouterr().err
     monkeypatch.setattr(represent, "MAX_UNIVERSE_CELLS", cells)
     assert main(argv) == 0
 
@@ -295,6 +296,15 @@ def test_generate_over_the_table_caps_exits_2(tmp_path, capsys):
                      "--seed", "0", "--out-dir", str(tmp_path / n)]) == 2
         assert "table caps" in capsys.readouterr().err
         assert not (tmp_path / n).exists() or not any((tmp_path / n).iterdir())
+
+
+def test_generate_rejects_a_count_below_one(tmp_path, capsys):
+    for count in ("0", "-2"):
+        out_dir = tmp_path / count
+        assert main(["generate", "--n", "2", "--base", "2", "--gens", "1", "--seed", "3",
+                     "--count", count, "--out-dir", str(out_dir)]) == 2
+        assert "count must be at least 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_json_report_is_byte_stable(paths, capsys):

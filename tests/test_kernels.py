@@ -44,13 +44,16 @@ from mengerkit import (
 )
 from mengerkit import algebra, fileio, forge, represent
 from mengerkit.algebra import (
+    EMPTY,
     StateSpace,
     _mixed_law_violation,
+    _shared_slots,
     _zero_law_violation,
     translation_classes,
 )
-from mengerkit.relations import _least_v_negative, _seed_relations
+from mengerkit.relations import _least_v_negative, _seed_relations, _word_pairs
 from mengerkit.represent import ReprPart
+from mengerkit.tables import first_occurrences
 from mengerkit.theorems import TARGET_KINDS
 
 from oracles import (
@@ -60,6 +63,7 @@ from oracles import (
     closure_violation_by_cells,
     dense_homomorphism_violation,
     domain_relations_by_bits,
+    first_occurrences_by_dict,
     l_cancellative_by_loops,
     l_regular_by_loops,
     mann_compose_by_cells,
@@ -434,8 +438,8 @@ def assert_kernels_match_loops(alg, relations, seen, monkeypatch):
         violation = _zero_law_violation(alg, z)
         assert violation == zero_law_violation_by_loops(alg, z)
         seen.add(("zero", None if violation is None else violation.law.split(":")[0]))
-    for plain in {True, alg.flavor == "plain"}:
-        assert _seed_relations(alg, plain) == seed_relations_by_loops(alg, plain)
+    assert _seed_relations(alg) == seed_relations_by_loops(alg, alg.flavor == "plain")
+    assert (None, _word_pairs(alg)) == seed_relations_by_loops(alg, True)  # bullet kinds
 
 
 def test_battery_kernels_match_loops(menger_battery, plain_battery, monkeypatch):
@@ -854,6 +858,27 @@ def test_representability_matches_grouped_states(menger_battery, plain_battery, 
         assert violation == representability_by_groups(algebra)
         flagged += violation is not None
     assert flagged == 2
+
+
+def test_first_occurrences_match_dict():
+    rng = np.random.default_rng(12)
+    cases = [rng.integers(0, 3, size=shape).astype(dtype)
+             for shape in ((300, 2), (200, 4), (50, 1), (1, 3), (0, 3))
+             for dtype in (bool, np.uint8, np.intp)]
+    wide = rng.integers(0, 2, size=(3, 120)).astype(np.uint8)
+    cases += [wide.T, wide[:, ::3].T, rng.integers(0, 2, size=(60, 5))[::2, 1:]]
+    for rows in cases:
+        first, second = first_occurrences(rows)
+        assert (first.tolist(), second.tolist()) == first_occurrences_by_dict(rows)
+
+
+def test_shared_slots_takes_the_class_that_starts_first():
+    # occupants A B B A: row 2 is the first to repeat an earlier row, but the
+    # class of row 0 starts first
+    a, b = [0, EMPTY], [EMPTY, 1]
+    space = StateSpace(np.array([a, b, b, a]), np.zeros((4, 2), np.intp),
+                       np.full((4, 2), -1))
+    assert _shared_slots(space) == (0, 3)
 
 
 def with_events(alg, events):

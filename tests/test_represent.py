@@ -4,12 +4,15 @@ import pytest
 from mengerkit import (
     AbstractAlgebra,
     BinRelation,
+    CapacityError,
     EMPTY,
     InputError,
+    PartialFunction,
     Representation,
     abstract_from_concrete,
     build_closure,
     build_universe,
+    close_under_operations,
     domain_relations,
     identity_representation,
     is_faithful,
@@ -19,6 +22,7 @@ from mengerkit import (
     sum_representations,
     verify_homomorphism,
 )
+from mengerkit import represent
 
 from oracles import representability_by_groups
 
@@ -80,6 +84,36 @@ def test_universe_rejects_non_representable():
     assert check_representability(bad) == representability_by_groups(bad)
     with pytest.raises(InputError):
         build_universe(bad)
+
+
+def test_universe_refuses_over_the_cell_cap_before_it_builds(
+        zero_proj_concrete, zero_proj_plain_concrete, monkeypatch):
+    def built(alg, space):
+        raise AssertionError("the universe was built before the cap was checked")
+
+    for conc in (zero_proj_concrete, zero_proj_plain_concrete):
+        universe = build_universe(abstract_from_concrete(conc))
+        # n=2, m=2: the substitution tables, and the all-tuple index if any
+        cells = len(universe) * 2 * (2 * 2 + 2 + 1) + 3**2 * universe.has_all_tuples
+        with monkeypatch.context() as patch:
+            patch.setattr(represent, "MAX_UNIVERSE_CELLS", cells - 1)
+            patch.setattr(represent, "_cross_witness_check", built)
+            with pytest.raises(CapacityError) as err:
+                build_universe(abstract_from_concrete(conc))
+        assert err.value.count == cells
+
+
+def test_all_tuple_index_counts_in_the_cell_cap(monkeypatch):
+    # one member at n=6 on a one-element base: one point, 1 * 6 * (6 + 1 + 1)
+    # substitution cells and a (1 + 1)**6 all-tuple index
+    conc = close_under_operations([PartialFunction.constant(6, 1, 0)])
+    monkeypatch.setattr(represent, "MAX_UNIVERSE_CELLS", 48 + 64 - 1)
+    with pytest.raises(CapacityError) as err:
+        identity_representation(conc)
+    assert err.value.count == 48 + 64
+    monkeypatch.setattr(represent, "MAX_UNIVERSE_CELLS", 48 + 64)
+    universe = identity_representation(conc).parts[0].universe
+    assert universe.has_all_tuples and universe.all_index.shape == (2,) * 6
 
 
 def test_universe_cached(zero_proj):
