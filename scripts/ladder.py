@@ -1,4 +1,4 @@
-"""Time the relation predicates on a fixed ladder of forge algebras.
+"""Time the layers of the pipeline on a fixed ladder of forge algebras.
 
 Each rung is the menger algebra of ``GeneratorConfig(arity=2, base_size=3,
 generator_count=1, seed=s, closure_cap=130)`` for one seed s, with its
@@ -6,12 +6,20 @@ realized domain relations chi, gamma and pi.  Each rung runs in its own
 child process under a 3 GB address-space limit, so that an oversized
 array ends the rung with a MemoryError instead of taking the machine's
 memory.  For each rung it records the carrier size, the number of right
-translations and of distinct ones, and for ``is_l_regular(chi)``,
-``is_l_cancellative(gamma)`` and ``verify_conditions`` on the triplet
-target: the wall time of the first call (which builds the algebra's
-derived tables) and of a second one, and the tracemalloc peak of a third
-(timed calls run untraced: tracing slows the Python loops of the state
-search several times over).
+translations and of distinct ones, the word states, the groups of parts
+of the pairs sum with the bytes of their words, and for
+``reachable_states``, ``is_l_regular(chi)``, ``is_l_cancellative(gamma)``,
+``verify_conditions`` on the triplet target, ``check_menger_identities``
+and ``verify_homomorphism`` of ``sum_over_pairs(alg, chi, gamma)``: the
+wall time of the first call (which builds the algebra's derived tables;
+``reachable_states`` keeps nothing, so each of its calls is a first one)
+and of a second one, and the tracemalloc peak of a third (timed calls
+run untraced: tracing slows the Python loops of the state search several
+times over).  A call that raises CapacityError records the error and its
+count as its result, and the rung goes on.  Each rung runs ROUNDS times
+per checkout, the checkouts taking turns, and each time is the fastest
+of its rounds: on a shared host one call's time drifts by a factor of
+two from run to run.
 
 Usage::
 
@@ -35,6 +43,7 @@ import tracemalloc
 from pathlib import Path
 
 SEEDS = (1, 19, 27, 36)  # m = 45, 81, 108, 128
+ROUNDS = 5
 ADDRESS_SPACE_BYTES = 3 * 2**30
 RUNG_TIMEOUT_S = 900
 
@@ -56,11 +65,27 @@ def traced_peak(call) -> float:
         tracemalloc.stop()
 
 
+def measured(call) -> dict:
+    """The result, the first and the second call's time and a third call's
+    tracemalloc peak, or the CapacityError of the first call."""
+    from mengerkit import CapacityError
+
+    try:
+        result, first = timed(call)
+    except CapacityError as exc:
+        return {"result": f"CapacityError: {exc}", "count": exc.count}
+    _, again = timed(call)
+    return {"result": repr(result), "first_s": round(first, 5), "again_s": round(again, 5),
+            "again_peak_mb": round(traced_peak(call), 3)}
+
+
 def run_rung(seed: int) -> dict:
     """Measure one rung in this process; mengerkit is already importable."""
     from mengerkit import (GeneratorConfig, Target, abstract_from_concrete,
-                           domain_relations, generate_concrete, is_l_cancellative,
-                           is_l_regular, verify_conditions)
+                           check_menger_identities, domain_relations, generate_concrete,
+                           is_l_cancellative, is_l_regular, reachable_states,
+                           sum_over_pairs, verify_conditions, verify_homomorphism)
+    from mengerkit import represent
     from mengerkit.algebra import distinct_columns, right_translations
 
     start = time.perf_counter()
@@ -69,18 +94,24 @@ def run_rung(seed: int) -> dict:
     alg = abstract_from_concrete(conc)
     chi, gamma, pi = domain_relations(conc)
     rung = {"seed": seed, "m": alg.size, "generate_s": round(time.perf_counter() - start, 4)}
+    rung["reachable_states"] = measured(lambda: len(reachable_states(alg).slots))
     calls = {
         "is_l_regular(chi)": lambda: is_l_regular(chi, alg),
         "is_l_cancellative(gamma)": lambda: is_l_cancellative(gamma, alg),
         "verify_conditions(triplet)": lambda: verify_conditions(
             alg, Target("triplet", chi=chi, gamma=gamma, pi=pi)).ok,
+        "check_menger_identities": lambda: check_menger_identities(alg),
     }
     for name, call in calls.items():
-        result, first = timed(call)
-        _, again = timed(call)
-        rung[name] = {"result": repr(result), "first_s": round(first, 5),
-                      "again_s": round(again, 5),
-                      "again_peak_mb": round(traced_peak(call), 3)}
+        rung[name] = measured(call)
+    pairs_sum = sum_over_pairs(alg, chi, gamma)
+    # trees older than represent._word_dtype record the parts alone
+    word_dtype = getattr(represent, "_word_dtype", None)
+    rung["homomorphism_groups"] = [
+        {"parts": len(parts)} | ({"word_bytes": word_dtype(parts).itemsize} if word_dtype else {})
+        for parts, _ in represent._groups(pairs_sum.parts)]
+    rung["verify_homomorphism(pairs sum)"] = measured(
+        lambda: verify_homomorphism(pairs_sum, alg))
     table, _ = right_translations(alg)
     rung["translations"] = int(table.shape[1])
     rung["translation_classes"] = len(distinct_columns(table))
@@ -114,6 +145,17 @@ def measure(checkout: Path, seed: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def fastest(runs: list[dict]) -> dict:
+    """The first run of a rung with each call's times the fastest of all
+    runs."""
+    rung = runs[0]
+    for name, call in rung.items():
+        if isinstance(call, dict) and "first_s" in call:
+            for key in ("first_s", "again_s"):
+                call[key] = min(run.get(name, {}).get(key, call[key]) for run in runs)
+    return rung
+
+
 def main(argv: list[str]):
     if argv[:1] == ["--rung"]:
         child(int(argv[1]), argv[2])
@@ -122,12 +164,17 @@ def main(argv: list[str]):
         ("change", str(Path(__file__).resolve().parents[1]))]
     report = {"config": "GeneratorConfig(arity=2, base_size=3, generator_count=1, "
                         "seed=s, flavor='menger', closure_cap=130)",
-              "address_space_limit_bytes": ADDRESS_SPACE_BYTES,
+              "address_space_limit_bytes": ADDRESS_SPACE_BYTES, "rounds": ROUNDS,
               "host": {"platform": platform.platform(), "machine": platform.machine(),
                        "cpus": os.cpu_count(), "python": platform.python_version()},
               "runs": {}}
-    for label, path in checkouts:
-        report["runs"][label] = [measure(Path(path), seed) for seed in SEEDS]
+    runs = {label: [[] for _ in SEEDS] for label, _ in checkouts}
+    for _ in range(ROUNDS):
+        for rung, seed in enumerate(SEEDS):
+            for label, path in checkouts:
+                runs[label][rung].append(measure(Path(path), seed))
+    report["runs"] = {label: [fastest(rounds) for rounds in rungs]
+                      for label, rungs in runs.items()}
     print(json.dumps(report, indent=2))
 
 

@@ -20,7 +20,7 @@ from .algebra import (
     reachable_states,
 )
 from .bitrel import BinRelation
-from .errors import CapacityError, InputError, MengerkitError
+from .errors import CapacityError, ClosureCapError, InputError, MengerkitError
 from .forge import (
     GeneratorConfig,
     enumerate_relations,
@@ -78,6 +78,7 @@ __all__ = [
     "reachable_states",
     "BinRelation",
     "CapacityError",
+    "ClosureCapError",
     "InputError",
     "MengerkitError",
     "GeneratorConfig",

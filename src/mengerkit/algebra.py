@@ -21,30 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .tables import MAX_ARITY, ConcreteAlgebra, _keys, first_occurrences
+from .tables import (MAX_ARITY, ConcreteAlgebra, _check_law_cap, _keys, block_rows,
+                     first_occurrences)
 
 EMPTY = -1  # unoccupied slot marker; only valid at its own position
 
 DEFAULT_STATE_CAP = 2_000_000
-
-# children expanded per block of the state BFS: each takes its row of
-# n + m bytes (m < 256), the row again among the sorted keys, and an
-# 8-byte sort index
-STATE_BLOCK_CHILDREN = 1 << 14
-# equations in one pass of the equation scan and of the word identity, and
-# landing entries in one block of arguments.  A pass holds its two sides
-# and, on a group of parts, a 1-byte comparison; a side takes 1 byte per
-# equation at m < 256 (a value, or value + 1 in a lone part) and 2 for 11
-# parts at m=23 (value + 1 above one bit per part).  A block holds its
-# landing entries, 8 bytes each (intp, which numpy gathers with no per-call
-# index conversion), twice while they are summed, and on a group its gate.
-BLOCK_ELEMENTS = 1 << 20
-# equations one law phase compares: n * m**3 for associativity (1.0e9 at
-# n=2, m=800), m**(n+1) per distinct superassociativity column (69 columns,
-# 6.3 M at m=45; 625, 3.3e8 at m=81; 5488, 6.9e9 at m=108, which is
-# refused), and 2 * n * m**(n+2) for the mixed laws (1.7e8 at m=81, 5.4e8
-# at m=108)
-MAX_LAW_EQUATIONS = 1 << 30
 
 Word = tuple[tuple[int, int], ...]  # ((slot, element), ...), slots 0-based
 
@@ -209,7 +191,8 @@ class WordState:
 class StateSpace:
     """Reachable states in BFS order, the empty word excluded, as three
     read-only arrays: ``slots[s]`` holds state s's occupants (EMPTY where
-    a slot is untouched), ``actions[s]`` its action, and ``events[s]`` the
+    a slot is untouched) in the smallest signed dtype that holds m - 1,
+    ``actions[s]`` its action, and ``events[s]`` the
     first and the second expansion event that reach it (-1: none).  An
     event is parent * n * m + slot * m + y, where parent 0 is the empty
     word and parent p > 0 is state p - 1; each first event comes from an
@@ -252,8 +235,8 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
 
     A state is one fixed-width row: n slot entries (EMPTY coded as m),
     then m action entries, in the smallest unsigned dtype that holds m.
-    The frontier is expanded in blocks of at most STATE_BLOCK_CHILDREN
-    children, each gathered from the mann tables, split into classes of
+    The frontier is expanded in blocks of parents (block_rows), each
+    block's children gathered from the mann tables, split into classes of
     equal rows (first_occurrences) and looked up once per class.  Raises
     CapacityError with count cap + 1 when more than ``cap`` states are
     reachable."""
@@ -266,7 +249,9 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
     step[:, :m] = alg.mann
     fill = step.copy()
     fill[:, m] = np.arange(m)
-    parents_per_block = max(1, STATE_BLOCK_CHILDREN // fan)
+    # a child holds its row, the row again among the sorted keys, and an
+    # 8-byte sort index
+    parents_per_block = block_rows(fan * (2 * width * dtype.itemsize + 8))
 
     # per state: its row, its first event and its second one (-1: none);
     # an event is parent * fan + slot * m + y.  State 0 is the empty word,
@@ -308,9 +293,11 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
         start = stop
 
     rows = rows[1 : len(seen)]  # the empty word is not a state
-    slots = np.where(rows[:, :n] == m, EMPTY, rows[:, :n].astype(np.intp))
+    # slot code v is v, and m is EMPTY
+    slots = np.append(np.arange(m), EMPTY).astype(np.min_scalar_type(-m))[rows[:, :n]]
+    slots.flags.writeable = False
     events = np.stack([first_event, second_event], axis=1)[1:]
-    return StateSpace(_read_only(slots), _read_only(rows[:, n:]), _read_only(events))
+    return StateSpace(slots, _read_only(rows[:, n:]), _read_only(events))
 
 
 def _shared_slots(space: StateSpace) -> tuple[int, int] | None:
@@ -342,11 +329,6 @@ def check_representability(alg: AbstractAlgebra) -> Violation | None:
                      "two words share slot occupants but act differently")
 
 
-def _axis(k: int, ndim: int, m: int) -> np.ndarray:
-    """arange(m) laid along axis k of an ndim-axis grid."""
-    return np.arange(m).reshape((1,) * k + (m,) + (1,) * (ndim - 1 - k))
-
-
 def _first(diff: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first True entry in row-major order, or None."""
     k = int(diff.argmax()) if diff.size else 0
@@ -365,9 +347,9 @@ def check_associativity(alg: AbstractAlgebra) -> Violation | None:
 
     With t the column z of the slot table, the map c -> c *i z, the law
     reads t(x *i y) = x *i t(y): scan_equations checks it with the table
-    as heads, left and right side, landing y at y *i z, in passes of at
-    most BLOCK_ELEMENTS.  The n * m**3 equations raise CapacityError
-    before the first pass when they are over MAX_LAW_EQUATIONS."""
+    as heads, left and right side, landing y at y *i z.  The n * m**3
+    equations raise CapacityError before the first pass when they are
+    over MAX_EQUATIONS."""
     n, m = alg.arity, alg.size
     _check_law_cap("associativity", n * m**3)
     for slot, M in enumerate(alg.mann):
@@ -387,13 +369,13 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
     slot-complete word identity (checked on every reachable state whose
     occupants are all carrier elements).
 
-    Every phase compares its equations in passes of at most
-    BLOCK_ELEMENTS.  Superassociativity (m**(n+1) equations per distinct
-    column, see _superassociativity_violation) and the mixed laws
-    (2 * n * m**(n+2)) each raise CapacityError, naming the phase and its
-    count, before their first pass when the count is over
-    MAX_LAW_EQUATIONS; the word identity compares m equations per
-    slot-complete state, which the state cap bounds."""
+    Every phase compares its equations in passes under BLOCK_BYTES.
+    Superassociativity (m**(n+1) equations per distinct column, see
+    _superassociativity_violation) and the mixed laws (2 * n * m**(n+2))
+    each raise CapacityError, naming the phase and its count, before their
+    first pass when the count is over MAX_EQUATIONS; the word identity
+    compares m equations per slot-complete state, which the state cap
+    bounds."""
     if alg.flavor != "menger":
         raise InputError("menger identities require menger flavor")
     violation = _superassociativity_violation(alg) or _mixed_law_violation(alg)
@@ -408,12 +390,6 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
             "word-superposition", (space.word(s), x),
             "x . word != x[occupants(word)] on a slot-complete word")
     return None
-
-
-def _check_law_cap(phase: str, count: int):
-    if count > MAX_LAW_EQUATIONS:
-        raise CapacityError(f"{phase} of {count} equations exceeds the cap "
-                            f"{MAX_LAW_EQUATIONS}", count=count)
 
 
 def distinct_columns(table: np.ndarray) -> np.ndarray:
@@ -459,10 +435,12 @@ def scan_equations(heads: np.ndarray, left: np.ndarray, right: np.ndarray, land,
     leading one is in start..stop-1, each (arguments, columns); a gate of
     None is all ones.
 
-    Blocks of leading arguments hold at most BLOCK_ELEMENTS landing
-    entries, and each pass takes as many heads of its block as keep its
-    two sides within BLOCK_ELEMENTS; with m**k * columns * m under that,
-    the scan is one pass.
+    A block of leading arguments holds their landing entries, intp, which
+    numpy gathers with no per-call index conversion, and a gate of
+    ``right``'s width beside each; a pass holds both sides of its heads'
+    equations, each at its table's width.  Both take their lengths from
+    block_rows, so when every argument and every head fit under
+    BLOCK_BYTES the scan is one pass.
 
     With ``low`` 0 an equation fails exactly where x = (right & gate) ^
     left is nonzero, and the scan stops at the first failing equation in
@@ -483,13 +461,13 @@ def scan_equations(heads: np.ndarray, left: np.ndarray, right: np.ndarray, land,
     compared."""
     m, width = heads.shape
     per_row, columns = width // m, left.shape[1]
-    rows = max(1, BLOCK_ELEMENTS // (per_row * columns or 1))
+    rows = block_rows(per_row * columns * (np.dtype(np.intp).itemsize + right.itemsize))
     failing, found, last = 0, None, m
     for start in range(0, m, rows):
         landing, gate = land(start, min(m, start + rows))
         first = start * per_row
         arguments = slice(first, first + len(landing))
-        chunk = max(1, BLOCK_ELEMENTS // (landing.size or 1))
+        chunk = block_rows(landing.size * (left.itemsize + right.itemsize))
         for h in range(0, last, chunk):
             lhs = left[heads[h : min(last, h + chunk), arguments]]
             x = right[h : h + len(lhs)].take(landing, axis=1)
@@ -540,12 +518,13 @@ def _superassociativity_violation(alg: AbstractAlgebra) -> Violation | None:
 def _word_superposition_mismatch(alg: AbstractAlgebra,
                                  space: StateSpace) -> tuple[int, int] | None:
     """First (state index, x), in BFS order, with x . word != x[occupants]
-    on a slot-complete state, BLOCK_ELEMENTS entries per pass."""
+    on a slot-complete state, in blocks of states (block_rows): a state
+    holds its routed values, its action and their comparison."""
     complete = np.flatnonzero((space.slots != EMPTY).all(axis=1))
-    x, rows = _axis(1, 2, alg.size), max(1, BLOCK_ELEMENTS // alg.size)
+    rows = block_rows(alg.size * (alg.superposition.itemsize + space.actions.itemsize + 1))
     for start in range(0, len(complete), rows):
         block = complete[start : start + rows]
-        routed = alg.superposition[(x, *space.slots[block].T[:, :, None])]
+        routed = alg.superposition[(np.arange(alg.size), *space.slots[block].T[:, :, None])]
         where = _first(space.actions[block] != routed)
         if where is not None:
             return int(block[where[0]]), where[1]

@@ -22,3 +22,7 @@ class CapacityError(MengerkitError):
     def __init__(self, message: str, count: int | None = None):
         super().__init__(message)
         self.count = count
+
+
+class ClosureCapError(CapacityError):
+    """A closure outgrew its member cap; the forge draws again on it."""

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .bitrel import BinRelation
-from .errors import CapacityError, InputError
+from .errors import CapacityError, ClosureCapError, InputError
 from .relations import is_l_regular
 from .represent import Representation, ReprPart, Universe
 from .tables import (
@@ -59,7 +59,8 @@ def generate_concrete(cfg: GeneratorConfig) -> ConcreteAlgebra:
 
     Each table cell is undefined with ``UNDEFINED_PROB``, else uniform.
     Draws that blow past the closure cap are retried with fresh tables
-    from the same stream, up to ``RETRIES`` times.
+    from the same stream, up to ``RETRIES`` times; any other CapacityError
+    (a block of composites over MAX_TABLE_CELLS) ends the generation.
     """
     rng = random.Random(f"mengerkit:{cfg.seed}")
     for _ in range(RETRIES):
@@ -71,7 +72,7 @@ def generate_concrete(cfg: GeneratorConfig) -> ConcreteAlgebra:
             return close_under_operations(
                 generators, cfg.flavor, cap=cfg.closure_cap,
                 arity=cfg.arity, base_size=cfg.base_size)
-        except CapacityError:
+        except ClosureCapError:
             continue
     raise CapacityError(
         f"no closure within cap {cfg.closure_cap} after {RETRIES} retries")

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
 from .algebra import (EMPTY, AbstractAlgebra, Violation, _first, right_translations,
                       translation_classes)
 from .bitrel import BinRelation, _product
 from .errors import InputError
+from .tables import block_rows
 
 CLOSURE_KINDS = ("chi_pi", "chi0", "chi_pi_bullet", "chi0_bullet")
 WORD_SYSTEMS = ("A", "B", "C", "A_bullet", "B_bullet", "C_bullet")
@@ -42,9 +42,10 @@ def _translated_violation(r: BinRelation, alg: AbstractAlgebra, related: bool,
 
     The law depends on a translation only through its map, so it is
     decided once per class of equal columns (translation_classes), for
-    blocks of rows x of at most BLOCK_ELEMENTS (x, y, class) entries, or
-    one row; the landing index beside them takes m * classes entries, as
-    the class table does.  Classes are numbered by first occurrence, so
+    blocks of rows x (block_rows): a row x holds the gathered rows, the
+    held entries and their comparison, one bool per (y, class) each; the
+    landing index beside them takes m * classes entries, as the class
+    table does.  Classes are numbered by first occurrence, so
     the first failing class of a pair starts at the pair's first failing
     column."""
     _check_sized(r, alg)
@@ -53,7 +54,7 @@ def _translated_violation(r: BinRelation, alg: AbstractAlgebra, related: bool,
     m, count = classes.shape
     # images[x, c * m + j] = R[t_c(x), j], so images[x, landing[y, c]] = R[t_c(x), t_c(y)]
     landing = classes + m * np.arange(count)
-    rows = max(1, algebra.BLOCK_ELEMENTS // (m * count))
+    rows = block_rows(3 * m * count)
     for start in range(0, m, rows):
         images = R[classes[start : start + rows]].reshape(-1, count * m)
         held = images.take(landing, axis=1)  # axes (x, y, class)

@@ -51,33 +51,22 @@ from .algebra import (
     tuple_index,
 )
 from .bitrel import BinRelation
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .relations import is_l_regular, is_v_negative
-from .tables import relations_of_domains, row_lookup
+from .tables import _check_law_cap, _check_table_cells, relations_of_domains, row_lookup
 
 BLANK = EMPTY  # placeholder coordinate, only valid at its own slot
-
-# equations the homomorphism check of one group of parts compares: n * m**2
-# slot equations per universe point and m**(n+1) superposition equations per
-# distinct word column (see _scan).  At n=2: 0.61 M + 0.35 M at m=23 (576
-# points, 29 columns), 8.8e7 + 3.3e8 at m=81 (6724 points, 625 columns), and
-# 2.8e8 + 6.9e9 at m=108 (11 881 points, 5488 columns), which is refused
-MAX_HOM_EQUATIONS = 1 << 30
-# intp cells of a universe's tables: points * n * (n*m + m + 1) for the
-# moved points and subst, plus (m + 1)**n for all_index when every carrier
-# tuple is a point: 7.7 M for the 11 881-point universe at m=108 (n=2);
-# 1.3 G (10 GB) at DEFAULT_STATE_CAP states there is refused, and so is a
-# one-point universe at n=32 and m=1 (2**32 index cells)
-MAX_UNIVERSE_CELLS = 1 << 26
 
 
 def _check_universe_cells(count: int, n: int, size: int, all_tuples: bool):
     """Raise CapacityError when a universe of ``count`` points, holding
-    every carrier tuple or not, needs more than MAX_UNIVERSE_CELLS cells."""
+    every carrier tuple or not, needs more than MAX_TABLE_CELLS cells:
+    points * n * (n*m + m + 1) for the moved points and subst, plus
+    (m + 1)**n for all_index when every carrier tuple is a point (7.7 M
+    for the 11 881-point universe at m=108, n=2; a one-point universe at
+    n=32 and m=1 is refused for its 2**32 index cells)."""
     cells = count * n * (n * size + size + 1) + ((size + 1) ** n if all_tuples else 0)
-    if cells > MAX_UNIVERSE_CELLS:
-        raise CapacityError(f"universe of {count} points needs {cells} table "
-                            f"cells, over the cap of {MAX_UNIVERSE_CELLS}", count=cells)
+    _check_table_cells(f"universe of {count} points", cells)
 
 
 class Universe:
@@ -340,8 +329,8 @@ def verify_homomorphism(rep: Representation, alg: AbstractAlgebra) -> Violation 
     defined form groups, each checked in one pass with one bit per part
     (see _groups and _scan); the lowest failing part of a group is then
     checked alone for its first witness.  Raises CapacityError when a
-    group has more than MAX_HOM_EQUATIONS equations to compare.  Memory is
-    bounded per pass of scan_equations (see BLOCK_ELEMENTS), not by the
+    group has more than MAX_EQUATIONS equations to compare.  Memory is
+    bounded per pass of scan_equations (see BLOCK_BYTES), not by the
     equation count.
     """
     if rep.size != alg.size:
@@ -376,6 +365,14 @@ def _groups(parts):
                 continue
         groups.append(([part], assign))
     return groups
+
+
+def _word_dtype(parts) -> np.dtype:
+    """The dtype of a group's words in _scan: the smallest unsigned one
+    that holds value + 1 above one domain bit per part (none for a lone
+    part)."""
+    bits = len(parts) if len(parts) > 1 else 0
+    return np.min_scalar_type((1 << bits + int(parts[0].universe.value_size).bit_length()) - 1)
 
 
 def _scan(parts, values, alg: AbstractAlgebra):
@@ -429,7 +426,7 @@ def _scan(parts, values, alg: AbstractAlgebra):
     lone = len(parts) == 1
     bits = 0 if lone else len(parts)
     low = (1 << bits) - 1  # the domain bits
-    dtype = np.min_scalar_type((1 << bits + int(universe.value_size).bit_length()) - 1)
+    dtype = _word_dtype(parts)
     table = (values + 1).astype(dtype)
     gates = None
     if not lone:
@@ -439,10 +436,7 @@ def _scan(parts, values, alg: AbstractAlgebra):
         gates = table | ((1 << 8 * table.itemsize) - 1 - low)
     superposition = alg.superposition is not None and universe.all_index is not None
     reps = distinct_columns(table) if superposition else ()
-    equations = n * m**2 * count + m ** (n + 1) * len(reps)
-    if equations > MAX_HOM_EQUATIONS:
-        raise CapacityError(f"homomorphism check of {equations} equations exceeds "
-                            f"the cap {MAX_HOM_EQUATIONS}", count=equations)
+    _check_law_cap("homomorphism check", n * m**2 * count + m ** (n + 1) * len(reps))
     # the right side reads column `count`, all zeros, at landing point -1
     words = np.zeros((m, count + 1), dtype)
     words[:, :count] = table

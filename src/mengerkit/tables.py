@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .bitrel import BinRelation
-from .errors import CapacityError, InputError
+from .errors import CapacityError, ClosureCapError, InputError
 
 UNDEFINED = -1
 
@@ -37,6 +37,43 @@ MAX_ARITY = 32
 # cells of one table, base**arity: the forge draws every cell of a
 # generator, and each composite block holds this many columns
 MAX_CELLS = 1 << 16
+
+# -- resource bounds ---------------------------------------------------------
+# Every blocked pass of the package takes its rows through block_rows, and
+# every counted phase is refused over its cap (CapacityError, exit 3) before
+# it allocates or compares anything.
+
+# bytes one pass of a blocked scan holds at once (see block_rows)
+BLOCK_BYTES = 1 << 20
+# equations one law phase, or one group of parts of the homomorphism check,
+# compares: n * m**3 for associativity (1.0e9 at n=2, m=800), m**(n+1) per
+# distinct superassociativity column (6.9e9 at m=108, 5488 columns, which is
+# refused), 2 * n * m**(n+2) for the mixed laws (2**30 at m=128), and n *
+# m**2 per universe point plus m**(n+1) per distinct word column for the
+# homomorphism check (4.2e8 at m=81; 7.2e9 at m=108, refused)
+MAX_EQUATIONS = 1 << 30
+# cells of the tables a universe, a block of composites or the composite
+# indices of a concrete algebra need (see represent._check_universe_cells,
+# composite_blocks and ConcreteAlgebra.composite_indices)
+MAX_TABLE_CELLS = 1 << 26
+
+
+def block_rows(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` each one pass takes: as many as fit
+    in BLOCK_BYTES, read at call time, and at least one."""
+    return max(1, BLOCK_BYTES // max(row_bytes, 1))
+
+
+def _check_law_cap(phase: str, count: int):
+    if count > MAX_EQUATIONS:
+        raise CapacityError(f"{phase} of {count} equations exceeds the cap "
+                            f"{MAX_EQUATIONS}", count=count)
+
+
+def _check_table_cells(what: str, cells: int):
+    if cells > MAX_TABLE_CELLS:
+        raise CapacityError(f"{what} needs {cells} table cells, over the cap of "
+                            f"{MAX_TABLE_CELLS}", count=cells)
 
 
 @dataclass(frozen=True)
@@ -133,8 +170,14 @@ def composite_blocks(table: np.ndarray, arity: int, base: int, flavor: str):
     """Every composite of the rows of ``table``, one block of rows at a
     time: per slot the m*m rows i *slot j (i-major), then on menger
     flavor, per head f, the m**n rows f[args] (argument tuples
-    lexicographic).  A block never holds more than m**max(n, 2) rows."""
+    lexicographic).
+
+    A block holds m*m or, on menger flavor, m**max(n, 2) rows of cells,
+    and so does its intp landing on menger flavor.  Raises CapacityError
+    before the first block when they are over MAX_TABLE_CELLS."""
     m, cells = table.shape
+    rows = max(m * m, m**arity if flavor == "menger" else 0)
+    _check_table_cells(f"composite blocks of {m} members at arity {arity}", rows * cells)
     padded = np.concatenate([table, np.full((m, 1), UNDEFINED, table.dtype)], axis=1)
     for slot in range(arity):
         yield padded[:, _slot_landing(table, arity, base, slot)].reshape(m * m, cells)
@@ -268,16 +311,19 @@ class ConcreteAlgebra:
         where indices holds the member index of every composite in
         composite_blocks order, in the smallest unsigned dtype that holds
         m - 1; else (None, (description, composite)) for the first
-        composite that is not a member."""
+        composite that is not a member.  Raises CapacityError before the
+        first block when the n*m*m slot and, on menger flavor, m**(n+1)
+        superposition indices are over MAX_TABLE_CELLS."""
+        m, n = len(self), self.arity
+        _check_table_cells(f"composite indices of {m} members at arity {n}",
+                           n * m * m + (m ** (n + 1) if self.flavor == "menger" else 0))
         find = row_lookup(self.table)
-        m = len(self)
         indices = []
-        blocks = composite_blocks(self.table, self.arity, self.base_size, self.flavor)
-        for b, block in enumerate(blocks):
+        for b, block in enumerate(composite_blocks(self.table, n, self.base_size, self.flavor)):
             at = find(block)
             missing = np.flatnonzero(at < 0)
             if missing.size:
-                r, n = int(missing[0]), self.arity
+                r = int(missing[0])
                 if b < n:
                     label = f"f{r // m} *{b + 1} f{r % m}"
                 else:
@@ -301,8 +347,9 @@ def close_under_operations(
     in composite_blocks order of first occurrence.
 
     ``arity``/``base_size`` are only needed for an empty generator list.
-    Raises CapacityError with the partial count when the closure would
-    exceed ``cap`` elements.
+    Raises ClosureCapError with the partial count when the closure would
+    exceed ``cap`` elements, and CapacityError when a block of composites
+    is over MAX_TABLE_CELLS (see composite_blocks).
     """
     if generators and arity is None:
         arity, base_size = generators[0].arity, generators[0].base_size
@@ -310,7 +357,7 @@ def close_under_operations(
         raise InputError("empty generator list needs explicit arity and base_size")
     start = ConcreteAlgebra(arity, base_size, tuple(dict.fromkeys(generators)), flavor)
     if len(start) > cap:
-        raise CapacityError(f"closure cap {cap} exceeded", count=len(start))
+        raise ClosureCapError(f"closure cap {cap} exceeded", count=len(start))
 
     table = start.table
     # each member's entries as bytes; a dict keeps first insertion order
@@ -319,7 +366,7 @@ def close_under_operations(
         for block in composite_blocks(table, arity, base_size, flavor):
             members.update(dict.fromkeys(_keys(block).tolist()))
             if len(members) > cap:
-                raise CapacityError(f"closure cap {cap} exceeded", count=cap + 1)
+                raise ClosureCapError(f"closure cap {cap} exceeded", count=cap + 1)
         if len(members) == len(table):
             break
         table = np.frombuffer(b"".join(members), table.dtype).reshape(len(members), -1)

@@ -21,6 +21,7 @@ from mengerkit import (
     UNDEFINED,
     BinRelation,
     CapacityError,
+    ClosureCapError,
     ConcreteAlgebra,
     InputError,
     PartialFunction,
@@ -363,8 +364,8 @@ def first_occurrences_by_dict(rows):
             [members[1] if len(members) > 1 else -1 for members in classes.values()])
 
 
-def _read_only_intp(rows, width):
-    array = np.array(rows, dtype=np.intp).reshape(len(rows), width)
+def _read_only_rows(rows, width, dtype):
+    array = np.array(rows, dtype=dtype).reshape(len(rows), width)
     array.flags.writeable = False
     return array
 
@@ -372,7 +373,8 @@ def _read_only_intp(rows, width):
 @dataclass(frozen=True)
 class LoopStates:
     """The states of :func:`reachable_states_by_loops` in BFS order, with
-    their occupants and actions as read-only arrays."""
+    their occupants, in the smallest signed dtype that holds -1..m-1, and
+    their actions, intp, as read-only arrays."""
 
     states: tuple[WordState, ...]
     slots: np.ndarray
@@ -416,8 +418,10 @@ def reachable_states_by_loops(alg, cap=DEFAULT_STATE_CAP):
                     candidate = state.word + ((slot, y),)
                     if candidate != known.word:
                         object.__setattr__(known, "alt_word", candidate)
-    return LoopStates(tuple(order), _read_only_intp([state.slots for state in order], n),
-                      _read_only_intp([state.action for state in order], m))
+    return LoopStates(tuple(order),
+                      _read_only_rows([state.slots for state in order], n,
+                                      np.min_scalar_type(-m)),
+                      _read_only_rows([state.action for state in order], m, np.intp))
 
 
 def by_slots(states) -> dict:
@@ -576,7 +580,7 @@ def close_by_loops(generators, flavor="menger", cap=4096, arity=None, base_size=
             seen.add(g.entries)
             elements.append(g)
     if len(elements) > cap:
-        raise CapacityError(f"closure cap {cap} exceeded", count=len(elements))
+        raise ClosureCapError(f"closure cap {cap} exceeded", count=len(elements))
     old = 0  # members below this index were already composed with each other
     while True:
         fresh = []
@@ -586,7 +590,7 @@ def close_by_loops(generators, flavor="menger", cap=4096, arity=None, base_size=
                 seen.add(h.entries)
                 fresh.append(h)
                 if len(seen) > cap:
-                    raise CapacityError(f"closure cap {cap} exceeded", count=len(seen))
+                    raise ClosureCapError(f"closure cap {cap} exceeded", count=len(seen))
 
         total = len(elements)
         for slot in range(arity):

@@ -1,5 +1,10 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,23 +12,26 @@ import pytest
 from mengerkit import (
     BinRelation,
     CapacityError,
+    ClosureCapError,
     ConcreteAlgebra,
     GeneratorConfig,
+    PartialFunction,
     Target,
     abstract_from_concrete,
     build_closure,
     build_universe,
     check_associativity,
     check_menger_identities,
+    close_under_operations,
     domain_relations,
     generate_concrete,
     is_l_regular,
     roundtrip,
     sum_over_pairs,
 )
-from mengerkit import algebra, represent
+from mengerkit import represent, tables
 from mengerkit.cli import main
-from mengerkit.fileio import save_algebra, save_relation
+from mengerkit.fileio import ALGEBRA_FORMAT, save_algebra, save_relation
 
 import golden_reports
 
@@ -117,8 +125,8 @@ def test_verify_over_the_equation_cap_exits_3(paths, zero_proj, zero_proj_concre
     # compared equations: n * m**2 per point and m**(n+1) per distinct word
     # column; the m=108 rung (11 881 points, 5488 columns) is refused, the
     # m=81 rung (6724 points, 625 columns) is not
-    assert 2 * 81**2 * 6724 + 81**3 * 625 < represent.MAX_HOM_EQUATIONS
-    assert 2 * 108**2 * 11881 + 108**3 * 5488 > represent.MAX_HOM_EQUATIONS
+    assert 2 * 81**2 * 6724 + 81**3 * 625 < tables.MAX_EQUATIONS
+    assert 2 * 108**2 * 11881 + 108**3 * 5488 > tables.MAX_EQUATIONS
     chi, gamma, _ = domain_relations(zero_proj_concrete)
     parts = sum_over_pairs(zero_proj, chi, gamma).parts
     assert len(represent._groups(parts)) == 1
@@ -127,26 +135,27 @@ def test_verify_over_the_equation_cap_exits_3(paths, zero_proj, zero_proj_concre
     count = 2 * 2**2 * len(build_universe(zero_proj)) + 2**3 * len(columns)
     argv = ["verify", "--algebra", paths["conc"], "--target", "triplet",
             "--chi", paths["chi"], "--gamma", paths["gamma"], "--pi", paths["pi"]]
-    monkeypatch.setattr(represent, "MAX_HOM_EQUATIONS", count - 1)
+    # the one cap is also the law phases', whose counts here are at most 64
+    monkeypatch.setattr(tables, "MAX_EQUATIONS", count - 1)
     with pytest.raises(CapacityError) as err:
         roundtrip(zero_proj, Target("triplet", *domain_relations(zero_proj_concrete)))
     assert err.value.count == count
     assert main(argv) == 3
     assert f"homomorphism check of {count} equations" in capsys.readouterr().err
-    monkeypatch.setattr(represent, "MAX_HOM_EQUATIONS", count)
+    monkeypatch.setattr(tables, "MAX_EQUATIONS", count)
     assert main(argv) == 0
 
 
 def test_check_over_the_law_cap_exits_3(paths, zero_proj, monkeypatch, capsys):
     # associativity compares n * m**3 equations, counted before the first pass
     count = 2 * 2**3
-    monkeypatch.setattr(algebra, "MAX_LAW_EQUATIONS", count - 1)
+    monkeypatch.setattr(tables, "MAX_EQUATIONS", count - 1)
     with pytest.raises(CapacityError) as err:
         check_associativity(zero_proj)
     assert err.value.count == count
     assert main(["check", "--algebra", paths["alg"]]) == 3
     assert f"associativity of {count} equations exceeds the cap" in capsys.readouterr().err
-    monkeypatch.setattr(algebra, "MAX_LAW_EQUATIONS", count)
+    monkeypatch.setattr(tables, "MAX_EQUATIONS", count)
     assert check_associativity(zero_proj) is None
 
 
@@ -165,13 +174,13 @@ def test_check_over_the_menger_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert 2 * 4**3 < phases[0][1] < phases[1][1]
     argv = ["check", "--algebra", str(path)]
     for phase, count in phases:
-        monkeypatch.setattr(algebra, "MAX_LAW_EQUATIONS", count - 1)
+        monkeypatch.setattr(tables, "MAX_EQUATIONS", count - 1)
         with pytest.raises(CapacityError) as err:
             check_menger_identities(alg)
         assert err.value.count == count
         assert main(argv) == 3
         assert f"Menger identities: {phase} of {count} equations" in capsys.readouterr().err
-    monkeypatch.setattr(algebra, "MAX_LAW_EQUATIONS", phases[1][1])
+    monkeypatch.setattr(tables, "MAX_EQUATIONS", phases[1][1])
     assert main(argv) == 0
 
 
@@ -215,14 +224,72 @@ def test_universe_over_the_cell_cap_exits_3(paths, zero_proj, zero_proj_concrete
     cells = len(build_universe(zero_proj)) * 2 * (2 * 2 + 2 + 1) + 3**2
     argv = ["represent", "--algebra", paths["conc"], "--chi", paths["chi"],
             "--point-all", "--out", str(paths["dir"] / "rep.json")]
-    monkeypatch.setattr(represent, "MAX_UNIVERSE_CELLS", cells - 1)
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", cells - 1)
     with pytest.raises(CapacityError) as err:
         build_universe(abstract_from_concrete(zero_proj_concrete))
     assert err.value.count == cells
     assert main(argv) == 3
     assert f"needs {cells} table cells" in capsys.readouterr().err
-    monkeypatch.setattr(represent, "MAX_UNIVERSE_CELLS", cells)
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", cells)
     assert main(argv) == 0
+
+
+def test_composites_over_the_cell_cap_exit_3(tmp_path, monkeypatch, capsys):
+    # [null] and [0] at n=2 on a one-element base: a block holds at most
+    # 2**2 rows of one cell, and the abstraction keeps 2 * 2**2 slot and
+    # 2**3 superposition indices, which the closure never builds
+    functions = [PartialFunction.empty(2, 1), PartialFunction.constant(2, 1, 0)]
+    path = tmp_path / "two.json"
+    save_algebra(close_under_operations(functions), str(path))
+    argv = ["check", "--algebra", str(path)]
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", 4)
+    assert len(close_under_operations(functions)) == 2
+    assert main(argv) == 3
+    assert ("composite indices of 2 members at arity 2 needs 16 table cells"
+            in capsys.readouterr().err)
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", 3)
+    with pytest.raises(CapacityError) as err:
+        close_under_operations(functions)
+    assert err.value.count == 4 and not isinstance(err.value, ClosureCapError)
+    assert "composite blocks of 2 members at arity 2 needs 4 table cells" in str(err.value)
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", 16)
+    assert main(argv) == 0
+
+
+def test_composites_at_arity_32_exit_3_before_the_first_block(tmp_path):
+    # two one-cell members at n=32 have 2**32 composites per superposition
+    # head.  Each call runs in a child under a 3 GB address-space limit, so
+    # a build that asks for them ends in the child, not in the host's memory
+    path = tmp_path / "n32.json"
+    path.write_text(json.dumps({"format": ALGEBRA_FORMAT, "kind": "concrete",
+                                "flavor": "menger", "n": 32, "base_size": 1,
+                                "functions": [[None], [0]]}))
+    assert path.stat().st_size == 127
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    def cli(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from mengerkit.cli import main; sys.exit(main())",
+             *argv], capture_output=True, text=True, env=env, preexec_fn=limit, timeout=300)
+        assert done.returncode == 3, done.stderr
+        return done.stderr
+
+    cells = 32 * 2**2 + 2**33
+    assert cli("check", "--algebra", str(path)) == (
+        f"capacity error: composite indices of 2 members at arity 32 needs {cells} table "
+        f"cells, over the cap of {tables.MAX_TABLE_CELLS}\n")
+    # seed 8 draws the two members first; the refusal ends the generation
+    # instead of sending the forge on to a fresh draw
+    out = tmp_path / "generated"
+    assert cli("generate", "--n", "32", "--base", "1", "--gens", "2", "--seed", "8",
+               "--out-dir", str(out)) == (
+        f"capacity error: composite blocks of 2 members at arity 32 needs {2**32} table "
+        f"cells, over the cap of {tables.MAX_TABLE_CELLS}\n")
+    assert not any(out.iterdir())
 
 
 def test_verify_rejects_bounds_below_one(paths, capsys):

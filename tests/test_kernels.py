@@ -42,7 +42,7 @@ from mengerkit import (
     superpose,
     verify_homomorphism,
 )
-from mengerkit import algebra, fileio, forge, represent
+from mengerkit import algebra, fileio, forge, represent, tables
 from mengerkit.algebra import (
     EMPTY,
     StateSpace,
@@ -148,9 +148,10 @@ def test_battery_representations_match_dense_check(menger_battery, plain_battery
 
 
 def single_row_blocks(monkeypatch):
-    """Let each block of the equation scan hold one leading argument, and
-    each pass one head."""
-    monkeypatch.setattr(algebra, "BLOCK_ELEMENTS", 1)
+    """Let each blocked pass take one row: one leading argument per block of
+    the equation scan and one head per pass, one row x per block of the
+    l-conditions."""
+    monkeypatch.setattr(tables, "BLOCK_BYTES", 1)
 
 
 def test_corrupted_cells_match_dense_check(m18, monkeypatch):
@@ -518,14 +519,33 @@ def test_planted_translations_match_loops(columns, law, z, monkeypatch):
     regular = BinRelation.from_pairs(m, [(0, 0), (0, 1), (1, 1), (2, 2), (3, 3)])
     cancellative = BinRelation.from_pairs(m, [(0, 0), (4, 4)])
     # one block, one row per block, and two: rows 0 and 1 pass, then (3, 3)
-    # fails in the second row of the second block
-    for block in (algebra.BLOCK_ELEMENTS, 1, 2 * m * 2):
-        monkeypatch.setattr(algebra, "BLOCK_ELEMENTS", block)
+    # fails in the second row of the second block; a row holds three bools
+    # per (y, class)
+    for block in (tables.BLOCK_BYTES, 1, 2 * 3 * m * 2):
+        monkeypatch.setattr(tables, "BLOCK_BYTES", block)
         for ours, loops, r in ((is_l_regular, l_regular_by_loops, regular),
                                (is_l_cancellative, l_cancellative_by_loops, cancellative)):
             violation = ours(r, alg)
             assert violation == loops(r, alg)
             assert violation.law.endswith(law) and violation.witness == (3, 3, z)
+
+
+def test_homomorphism_memory_is_bounded_at_m45():
+    # the pairs sum is a group of 58 parts, 8-byte words, and one of 13:
+    # measured 7.2 MB with passes sized in bytes; 28.5 MB when a block held
+    # 2**20 intp landing entries, whatever the word's width
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
+                                             seed=1, closure_cap=130))
+    alg = abstract_from_concrete(conc)
+    rep = sum_over_pairs(alg, *domain_relations(conc)[:2])
+    assert alg.size == 45 and verify_homomorphism(rep, alg) is None
+    tracemalloc.start()
+    try:
+        assert verify_homomorphism(rep, alg) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
 
 
 def test_l_regular_memory_is_bounded_at_m45():
@@ -795,7 +815,7 @@ def test_perturbed_mann_states_match_loops(m18):
 def test_one_parent_blocks_match_loops(m18, menger_battery, monkeypatch):
     # each block expands one parent, so a state's children, its second
     # event and the blocks that meet it again all lie in different blocks
-    monkeypatch.setattr(algebra, "STATE_BLOCK_CHILDREN", 1)
+    monkeypatch.setattr(tables, "BLOCK_BYTES", 1)
     alg, _ = m18
     spaces = [assert_states_match_loops(alg)]
     spaces += [assert_states_match_loops(abstract_from_concrete(conc), caps=False)
@@ -824,7 +844,7 @@ def test_state_bfs_memory_is_bounded(monkeypatch):
     # BFS peaks at 2.4 MB)
     assert states_peak(alg) < 5 * 2**20
     # one block per BFS level, unbounded: 6.7 MB
-    monkeypatch.setattr(algebra, "STATE_BLOCK_CHILDREN", 1 << 40)
+    monkeypatch.setattr(tables, "BLOCK_BYTES", 1 << 40)
     assert states_peak(alg) > 5 * 2**20
 
 

@@ -14,5 +14,10 @@ def test_first_rung_measures_every_call():
     rung = ladder.run_rung(1)
     assert (rung["m"], rung["translations"], rung["translation_classes"]) == (45, 2115, 90)
     results = [rung[name]["result"] for name in (
-        "is_l_regular(chi)", "is_l_cancellative(gamma)", "verify_conditions(triplet)")]
-    assert results == ["None", "None", "True"]
+        "is_l_regular(chi)", "is_l_cancellative(gamma)", "verify_conditions(triplet)",
+        "check_menger_identities", "verify_homomorphism(pairs sum)")]
+    assert results == ["None", "None", "True", "None", "None"]
+    assert rung["reachable_states"]["result"] == "531"
+    # the pairs sum: a group of 58 parts in 8-byte words, and one of 13
+    assert [group["parts"] for group in rung["homomorphism_groups"]] == [58, 13]
+    assert rung["homomorphism_groups"][0]["word_bytes"] == 8

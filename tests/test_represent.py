@@ -22,7 +22,7 @@ from mengerkit import (
     sum_representations,
     verify_homomorphism,
 )
-from mengerkit import represent
+from mengerkit import represent, tables
 
 from oracles import representability_by_groups
 
@@ -96,7 +96,7 @@ def test_universe_refuses_over_the_cell_cap_before_it_builds(
         # n=2, m=2: the substitution tables, and the all-tuple index if any
         cells = len(universe) * 2 * (2 * 2 + 2 + 1) + 3**2 * universe.has_all_tuples
         with monkeypatch.context() as patch:
-            patch.setattr(represent, "MAX_UNIVERSE_CELLS", cells - 1)
+            patch.setattr(tables, "MAX_TABLE_CELLS", cells - 1)
             patch.setattr(represent, "_cross_witness_check", built)
             with pytest.raises(CapacityError) as err:
                 build_universe(abstract_from_concrete(conc))
@@ -107,11 +107,11 @@ def test_all_tuple_index_counts_in_the_cell_cap(monkeypatch):
     # one member at n=6 on a one-element base: one point, 1 * 6 * (6 + 1 + 1)
     # substitution cells and a (1 + 1)**6 all-tuple index
     conc = close_under_operations([PartialFunction.constant(6, 1, 0)])
-    monkeypatch.setattr(represent, "MAX_UNIVERSE_CELLS", 48 + 64 - 1)
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", 48 + 64 - 1)
     with pytest.raises(CapacityError) as err:
         identity_representation(conc)
     assert err.value.count == 48 + 64
-    monkeypatch.setattr(represent, "MAX_UNIVERSE_CELLS", 48 + 64)
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", 48 + 64)
     universe = identity_representation(conc).parts[0].universe
     assert universe.has_all_tuples and universe.all_index.shape == (2,) * 6
 
