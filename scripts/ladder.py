@@ -9,17 +9,26 @@ memory.  For each rung it records the carrier size, the number of right
 translations and of distinct ones, the word states, the groups of parts
 of the pairs sum with the bytes of their words, and for
 ``reachable_states``, ``is_l_regular(chi)``, ``is_l_cancellative(gamma)``,
-``verify_conditions`` on the triplet target, ``check_menger_identities``
-and ``verify_homomorphism`` of ``sum_over_pairs(alg, chi, gamma)``: the
-wall time of the first call (which builds the algebra's derived tables;
-``reachable_states`` keeps nothing, so each of its calls is a first one)
-and of a second one, and the tracemalloc peak of a third (timed calls
-run untraced: tracing slows the Python loops of the state search several
-times over).  A call that raises CapacityError records the error and its
-count as its result, and the rung goes on.  Each rung runs ROUNDS times
-per checkout, the checkouts taking turns, and each time is the fastest
-of its rounds: on a shared host one call's time drifts by a factor of
-two from run to run.
+``verify_conditions`` on the triplet target, ``check_menger_identities``,
+``sum_over_pairs(alg, chi, gamma)`` with ``representation_relations`` of
+it (whose result is whether they equal chi, gamma and pi) and
+``verify_homomorphism`` of that sum: the wall time of the first call
+(which builds the algebra's derived tables; ``reachable_states`` keeps
+nothing, so each of its calls is a first one) and of a second one, and
+the tracemalloc peak of a third (timed calls run untraced: tracing slows
+the Python loops of the state search several times over).  A call that
+raises CapacityError or MemoryError records the error (and the count
+reached) as its result, and the rung goes on.
+
+Before all of these, ``mengerkit verify --target triplet`` runs end to
+end on the rung's algebra and relations, written by ``fileio``, in a
+child of the rung under the same limit: the report records its exit
+code, its wall time, whether its stderr holds a traceback and the last
+line of that stderr.
+
+Each rung runs ROUNDS times per checkout, the checkouts taking turns, and
+each time is the fastest of its rounds: on a shared host one call's time
+drifts by a factor of two from run to run.
 
 Usage::
 
@@ -38,6 +47,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -67,16 +77,48 @@ def traced_peak(call) -> float:
 
 def measured(call) -> dict:
     """The result, the first and the second call's time and a third call's
-    tracemalloc peak, or the CapacityError of the first call."""
+    tracemalloc peak, or the CapacityError or MemoryError of the first
+    call."""
     from mengerkit import CapacityError
 
     try:
         result, first = timed(call)
     except CapacityError as exc:
         return {"result": f"CapacityError: {exc}", "count": exc.count}
+    except MemoryError as exc:
+        return {"result": f"MemoryError: {exc}"}
     _, again = timed(call)
     return {"result": repr(result), "first_s": round(first, 5), "again_s": round(again, 5),
             "again_peak_mb": round(traced_peak(call), 3)}
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_BYTES, ADDRESS_SPACE_BYTES))
+
+
+def verify_end_to_end(conc, relations) -> dict:
+    """``mengerkit verify --target triplet`` on files that ``fileio`` writes
+    from conc and (chi, gamma, pi), run from the imported mengerkit's
+    source tree in a child under ADDRESS_SPACE_BYTES."""
+    import mengerkit
+    from mengerkit import fileio
+
+    src = str(Path(mengerkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        fileio.save_algebra(conc, f"{tmp}/alg.json")
+        argv = ["verify", "--algebra", f"{tmp}/alg.json", "--target", "triplet"]
+        for name, rel in zip(("chi", "gamma", "pi"), relations):
+            fileio.save_relation(rel, f"{tmp}/{name}.json")
+            argv += [f"--{name}", f"{tmp}/{name}.json"]
+        done, seconds = timed(lambda: subprocess.run(
+            [sys.executable, "-c", "import sys; from mengerkit.cli import main; sys.exit(main())",
+             *argv], capture_output=True, text=True, env=env,
+            preexec_fn=limit_address_space, timeout=RUNG_TIMEOUT_S))
+    stderr = done.stderr.strip().splitlines()
+    return {"exit": done.returncode, "seconds": round(seconds, 3),
+            "traceback": any(line.startswith("Traceback") for line in stderr),
+            "stderr": stderr[-1] if stderr else ""}
 
 
 def run_rung(seed: int) -> dict:
@@ -84,7 +126,8 @@ def run_rung(seed: int) -> dict:
     from mengerkit import (GeneratorConfig, Target, abstract_from_concrete,
                            check_menger_identities, domain_relations, generate_concrete,
                            is_l_cancellative, is_l_regular, reachable_states,
-                           sum_over_pairs, verify_conditions, verify_homomorphism)
+                           representation_relations, sum_over_pairs, verify_conditions,
+                           verify_homomorphism)
     from mengerkit import represent
     from mengerkit.algebra import distinct_columns, right_translations
 
@@ -94,6 +137,7 @@ def run_rung(seed: int) -> dict:
     alg = abstract_from_concrete(conc)
     chi, gamma, pi = domain_relations(conc)
     rung = {"seed": seed, "m": alg.size, "generate_s": round(time.perf_counter() - start, 4)}
+    rung["verify --target triplet"] = verify_end_to_end(conc, (chi, gamma, pi))
     rung["reachable_states"] = measured(lambda: len(reachable_states(alg).slots))
     calls = {
         "is_l_regular(chi)": lambda: is_l_regular(chi, alg),
@@ -104,6 +148,8 @@ def run_rung(seed: int) -> dict:
     }
     for name, call in calls.items():
         rung[name] = measured(call)
+    rung["representation_relations(pairs sum)"] = measured(
+        lambda: representation_relations(sum_over_pairs(alg, chi, gamma)) == (chi, gamma, pi))
     pairs_sum = sum_over_pairs(alg, chi, gamma)
     # trees older than represent._word_dtype record the parts alone
     word_dtype = getattr(represent, "_word_dtype", None)
@@ -120,7 +166,7 @@ def run_rung(seed: int) -> dict:
 
 def child(seed: int, src: str):
     """Entry point of a rung's child process: prints the rung as JSON."""
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_BYTES, ADDRESS_SPACE_BYTES))
+    limit_address_space()
     sys.path.insert(0, src)
     try:
         rung = run_rung(seed)
@@ -150,8 +196,8 @@ def fastest(runs: list[dict]) -> dict:
     runs."""
     rung = runs[0]
     for name, call in rung.items():
-        if isinstance(call, dict) and "first_s" in call:
-            for key in ("first_s", "again_s"):
+        if isinstance(call, dict):
+            for key in {"first_s", "again_s", "seconds"} & call.keys():
                 call[key] = min(run.get(name, {}).get(key, call[key]) for run in runs)
     return rung
 

@@ -17,7 +17,7 @@ from .algebra import AbstractAlgebra, Violation
 from .bitrel import BinRelation
 from .errors import InputError
 from .represent import BLANK, Representation, ReprPart, Universe
-from .tables import MAX_ARITY, UNDEFINED, ConcreteAlgebra, PartialFunction
+from .tables import MAX_ARITY, UNDEFINED, ConcreteAlgebra, PartialFunction, _check_table_cells
 
 ALGEBRA_FORMAT = "mengerkit-algebra-v1"
 RELATION_FORMAT = "mengerkit-relation-v1"
@@ -214,6 +214,11 @@ def relation_from_doc(doc: dict) -> BinRelation:
 
 
 def representation_to_doc(rep: Representation) -> dict:
+    """The representation file's document.  Raises CapacityError, before
+    any assignment is formed, when the parts' assignments hold more than
+    MAX_TABLE_CELLS cells together (size * points per part)."""
+    _check_table_cells(f"representation file of {len(rep.parts)} parts",
+                       sum(rep.size * len(part.universe) for part in rep.parts))
     parts = []
     for part in rep.parts:
         u = part.universe

@@ -8,8 +8,7 @@ of reachable word states in BFS order (all-carrier ones collapse into the
 first block), and the blank point with every slot unoccupied.
 
 A representation assigns each carrier element a partial function from
-universe points to carrier elements, stored as a dense (carrier x points)
-array with -1 outside the domain.  The canonical construction fixes an
+universe points to carrier elements.  The canonical construction fixes an
 anchor pair (h1, h2) and defines g's function at a point as the value g
 reaches there (g[coords] at an all-carrier point, g itself at the blank
 point, g pushed through the witness word at an occupant point), defined
@@ -18,18 +17,21 @@ independent because universe construction rejects algebras where equal
 occupant tuples disagree on actions, and warrant the collapse of point
 blocks by the cross-checks below.
 
-Sums concatenate part lists; the component universes stay disjoint, so
-the domain relations of a sum are those of its parts' domains laid side
-by side: inclusion and equality hold in every part, overlap in some part.
+So every part is one rule: a value table and a row of allowed values
+(see ReprPart).  The reached values are the universe's own ``values``
+table, which every built part shares, and its row is chi[h1] | chi[h2];
+a part given an assignment holds it as its table, with every value
+allowed.  A sum is its list of parts over pairwise disjoint universes,
+never laid out as one array: inclusion and equality hold in every part,
+overlap in some part, and a part is read only at the first column of each
+class of equal columns of its table, which changes none of them.
 
 The homomorphism check compares every distinct equation in every part,
 superposition equations once per class of points with equal word columns.
-The parts of a canonical sum share one universe and differ only
-in their domains, so consecutive parts over one universe that agree
-wherever two of them are defined are checked as one group: one value
-table, one domain bit per part, and one pass over the equations for all
-of them.  A part loaded from a file, or from another universe, is a
-group of its own.
+Consecutive parts over one value table agree wherever two of them are
+defined, so they are checked as one group: one value table, one domain
+bit per part, and one pass over the equations for all of them.  A part
+with a table of its own is a group of its own.
 """
 
 from __future__ import annotations
@@ -104,6 +106,8 @@ class Universe:
                 raise InputError("universe is missing all-tuple points")
             self.all_index = np.full((size + 1,) * n, -1, dtype=np.intp)
             self.all_index[(slice(size),) * n] = all_index.reshape((size,) * n)
+        # values at the first column of each class of equal columns (see ReprPart)
+        self.distinct = None if values is None else values[:, distinct_columns(values)]
 
     def __len__(self):
         return len(self.points)
@@ -194,12 +198,40 @@ def _cross_witness_check(alg: AbstractAlgebra, space: StateSpace):
 
 
 class ReprPart:
-    def __init__(self, universe: Universe, assign: np.ndarray, labels=()):
-        if assign.shape[1] != len(universe.points):
+    """One summand: a (carrier, points) value table ``values`` and a bool
+    row ``allowed`` over the universe's values plus a last False entry,
+    which -1 reads.  Element g is defined at point p exactly where
+    allowed[values[g, p]], with value values[g, p] there.
+
+    A built part holds its universe's own table, shared and never copied,
+    and its anchor row; a part given an assignment (loaded, identity or
+    hand-made) holds it as its table, with every value allowed.
+    ``distinct`` is the table at the first column of each class of its
+    equal columns, kept by the universe for its own."""
+
+    def __init__(self, universe: Universe, values: np.ndarray, labels=(), allowed=None):
+        if values.shape[1] != len(universe.points):
             raise InputError("assignment width does not match universe")
         self.universe = universe
-        self.assign = assign
+        self.values = values
         self.labels = tuple(labels)
+        if allowed is None:
+            allowed = np.arange(universe.value_size + 1) < universe.value_size
+        self.allowed = allowed
+        self.distinct = (universe.distinct if values is universe.values
+                         else values[:, distinct_columns(values)])
+
+    @property
+    def assign(self) -> np.ndarray:
+        """The assignment, -1 where undefined, formed on each read."""
+        return _masked(self.values, self.allowed)
+
+
+def _masked(values: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """values where allowed, else -1, in the smallest signed dtype that
+    holds the values below len(allowed) - 1: one lookup per entry."""
+    row = np.where(allowed, np.arange(len(allowed)), -1)
+    return row.astype(np.min_scalar_type(1 - len(allowed)))[values]
 
 
 class Representation:
@@ -209,7 +241,7 @@ class Representation:
         self.size = size
         self.parts = tuple(parts)
         for part in self.parts:
-            if part.assign.shape[0] != size:
+            if part.values.shape[0] != size:
                 raise InputError("part carrier does not match representation")
 
     def __len__(self):
@@ -229,7 +261,8 @@ def _validate_chi(alg: AbstractAlgebra, chi: BinRelation):
 
 def _anchored_parts(universe: Universe, chi: BinRelation, anchors) -> tuple[ReprPart, ...]:
     """One part per distinct anchor row chi[h1] | chi[h2], in order of
-    first use, labelled by every anchor pair that gives it.
+    first use, labelled by every anchor pair that gives it; each part
+    reads the universe's values through its row.
 
     The row decides the part, and two rows never give the same part: the
     blank point's column of ``universe.values`` is arange(m), so a part's
@@ -238,25 +271,14 @@ def _anchored_parts(universe: Universe, chi: BinRelation, anchors) -> tuple[Repr
     labels that building every pair's part and deduplicating would.
     """
     by_row: dict[bytes, tuple[np.ndarray, list[str]]] = {}
+    # chi's rows, each with a last False entry
+    rows = np.concatenate([chi.matrix, np.zeros((chi.size, 1), bool)], axis=1)
     for h1, h2 in anchors:
         label = f"point({h1})" if h1 == h2 else f"pair({h1},{h2})"
-        allowed = chi.matrix[h1] | chi.matrix[h2]
+        allowed = rows[h1] | rows[h2]
         by_row.setdefault(allowed.tobytes(), (allowed, []))[1].append(label)
-    values = universe.values
-    return tuple(ReprPart(universe, np.where(allowed[values], values, -1), labels)
+    return tuple(ReprPart(universe, universe.values, labels, allowed)
                  for allowed, labels in by_row.values())
-
-
-def _dedupe(parts):
-    seen = {}
-    for part in parts:
-        key = (id(part.universe), part.assign.tobytes())
-        if key in seen:
-            kept = seen[key]
-            kept.labels = kept.labels + part.labels
-        else:
-            seen[key] = ReprPart(part.universe, part.assign, part.labels)
-    return tuple(seen.values())
 
 
 def sum_over_pairs(alg: AbstractAlgebra, chi: BinRelation,
@@ -277,33 +299,36 @@ def sum_over_points(alg: AbstractAlgebra, chi: BinRelation) -> Representation:
 
 
 def sum_representations(reps) -> Representation:
-    """Disjoint-union sum; duplicate parts collapse (relations unchanged)."""
+    """Disjoint-union sum: the summands' parts in order."""
     reps = list(reps)
     sizes = {rep.size for rep in reps}
     if len(sizes) > 1:
         raise InputError(f"carrier mismatch across summands: {sorted(sizes)}")
     size = sizes.pop() if sizes else 0
-    parts = [part for rep in reps for part in rep.parts]
-    return Representation(size, _dedupe(parts))
+    return Representation(size, [part for rep in reps for part in rep.parts])
 
 
-def _concatenated(rep: Representation) -> np.ndarray:
-    """The parts' assignments side by side, (size, all parts' points)."""
-    return np.concatenate([np.empty((rep.size, 0), dtype=np.int64)]
-                          + [part.assign for part in rep.parts], axis=1)
+def _side_by_side(rep: Representation, read) -> np.ndarray:
+    """read(values, allowed) of each part's table at the first column of
+    each class of its equal columns, the parts side by side.  Equal
+    columns read alike, so the repeats left out change no inclusion,
+    overlap or row equality."""
+    return np.concatenate([np.empty((rep.size, 0), bool)]
+                          + [read(part.distinct, part.allowed) for part in rep.parts],
+                          axis=1)
 
 
 def representation_relations(rep: Representation):
     """Domain inclusion, overlap, and equality relations of the sum, read
     off the parts' domains side by side (the part universes are disjoint).
     An empty sum yields the full inclusion relation by convention."""
-    return relations_of_domains(_concatenated(rep) >= 0)
+    return relations_of_domains(_side_by_side(rep, lambda values, allowed: allowed[values]))
 
 
 def is_faithful(rep: Representation):
     """None when the assignment is injective, else the colliding pair."""
     seen = {}
-    for g, row in enumerate(_concatenated(rep)):
+    for g, row in enumerate(_side_by_side(rep, _masked)):
         key = row.tobytes()
         if key in seen:
             return (seen[key], g)
@@ -325,13 +350,12 @@ def verify_homomorphism(rep: Representation, alg: AbstractAlgebra) -> Violation 
     lexicographic order of its elements and point; the first mismatch is
     returned with the elements and point involved.
 
-    Runs of parts over one universe that agree wherever two of them are
-    defined form groups, each checked in one pass with one bit per part
-    (see _groups and _scan); the lowest failing part of a group is then
-    checked alone for its first witness.  Raises CapacityError when a
-    group has more than MAX_EQUATIONS equations to compare.  Memory is
-    bounded per pass of scan_equations (see BLOCK_BYTES), not by the
-    equation count.
+    Runs of consecutive parts over one value table form groups, each
+    checked in one pass with one bit per part (see _groups and _scan);
+    the lowest failing part of a group is then checked alone for its
+    first witness.  Raises CapacityError when a group has more than
+    MAX_EQUATIONS equations to compare.  Memory is bounded per pass of
+    scan_equations (see BLOCK_BYTES), not by the equation count.
     """
     if rep.size != alg.size:
         raise InputError("representation carrier does not match algebra")
@@ -347,24 +371,19 @@ def verify_homomorphism(rep: Representation, alg: AbstractAlgebra) -> Violation 
 
 def _groups(parts):
     """(parts, values) per group: a run of consecutive parts over one
-    Universe object that agree on every value two of them define, with at
-    most as many parts as a 64-bit word has bits left beside the value
-    (see _scan); values is the group's common (m, points) value table,
-    -1 where none of its parts is defined."""
-    groups = []
+    Universe object and one value table, with at most as many parts as a
+    64-bit word has bits left beside the value (see _scan); values is the
+    group's table, -1 where none of its parts is defined."""
+    runs = []
     for part in parts:
-        assign = part.assign
-        if groups:
-            members, values = groups[-1]
-            universe = members[0].universe
-            if (part.universe is universe
-                    and len(members) < 64 - int(universe.value_size).bit_length()
-                    and not ((assign != values) & (np.minimum(assign, values) >= 0)).any()):
-                members.append(part)
-                groups[-1] = (members, np.maximum(values, assign))
-                continue
-        groups.append(([part], assign))
-    return groups
+        run = runs[-1] if runs else None
+        if (run and part.universe is run[0].universe and part.values is run[0].values
+                and len(run) < 64 - int(part.universe.value_size).bit_length()):
+            run.append(part)
+        else:
+            runs.append([part])
+    return [(run, _masked(run[0].values, np.logical_or.reduce([p.allowed for p in run])))
+            for run in runs]
 
 
 def _word_dtype(parts) -> np.dtype:
@@ -427,12 +446,12 @@ def _scan(parts, values, alg: AbstractAlgebra):
     bits = 0 if lone else len(parts)
     low = (1 << bits) - 1  # the domain bits
     dtype = _word_dtype(parts)
-    table = (values + 1).astype(dtype)
+    table = values.astype(dtype) + 1  # -1 wraps to 0
     gates = None
     if not lone:
         table <<= bits
         for k, part in enumerate(parts):
-            table |= np.left_shift(part.assign >= 0, k, dtype=dtype)
+            table |= np.left_shift(part.allowed[part.values], k, dtype=dtype)
         gates = table | ((1 << 8 * table.itemsize) - 1 - low)
     superposition = alg.superposition is not None and universe.all_index is not None
     reps = distinct_columns(table) if superposition else ()

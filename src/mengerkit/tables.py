@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .bitrel import BinRelation
+from .bitrel import BinRelation, _product
 from .errors import CapacityError, ClosureCapError, InputError
 
 UNDEFINED = -1
@@ -52,9 +52,10 @@ BLOCK_BYTES = 1 << 20
 # m**2 per universe point plus m**(n+1) per distinct word column for the
 # homomorphism check (4.2e8 at m=81; 7.2e9 at m=108, refused)
 MAX_EQUATIONS = 1 << 30
-# cells of the tables a universe, a block of composites or the composite
-# indices of a concrete algebra need (see represent._check_universe_cells,
-# composite_blocks and ConcreteAlgebra.composite_indices)
+# cells of the tables a universe, a block of composites, the composite
+# indices of a concrete algebra or a representation file's assignments need
+# (see represent._check_universe_cells, composite_blocks,
+# ConcreteAlgebra.composite_indices and fileio.representation_to_doc)
 MAX_TABLE_CELLS = 1 << 26
 
 
@@ -381,10 +382,18 @@ def close_under_operations(
 def relations_of_domains(domains: np.ndarray):
     """(chi, gamma, pi) of the rows of a (members, points) bool array: chi
     holds where the first row's points all lie in the second, gamma where
-    the rows share a point, pi where they are equal."""
-    inside = ~(domains @ ~domains.T)
-    return (BinRelation.from_array(inside), BinRelation.from_array(domains @ domains.T),
-            BinRelation.from_array(inside & inside.T))
+    the rows share a point, pi where they are equal.  The columns are read
+    in blocks under BLOCK_BYTES, at nine bytes per member and column: the
+    negated bools and two float32 copies (see bitrel._product)."""
+    size = len(domains)
+    step = block_rows(9 * size)
+    outside = overlap = np.zeros((size, size), dtype=bool)
+    for start in range(0, domains.shape[1], step):
+        block = domains[:, start : start + step]
+        outside = outside | _product(block, ~block.T)
+        overlap = overlap | _product(block, block.T)
+    return (BinRelation.from_array(~outside), BinRelation.from_array(overlap),
+            BinRelation.from_array(~(outside | outside.T)))
 
 
 def domain_relations(algebra: ConcreteAlgebra):

@@ -658,6 +658,20 @@ def representation_relations_by_parts(rep):
     return chi, gamma, chi & chi.transpose()
 
 
+def faithful_by_rows(rep):
+    """is_faithful by a dict keyed on each element's assignment rows, part
+    by part: None, or the first element whose rows equal an earlier
+    element's, after that one."""
+    assigns = [part.assign for part in rep.parts]
+    seen = {}
+    for g in range(rep.size):
+        key = tuple(assign[g].tobytes() for assign in assigns)
+        if key in seen:
+            return seen[key], g
+        seen[key] = g
+    return None
+
+
 # -- relations as bitset rows ---------------------------------------------
 #
 # The relation algebra and the relation conditions computed on Python-int

@@ -31,7 +31,7 @@ from mengerkit import (
 )
 from mengerkit import represent, tables
 from mengerkit.cli import main
-from mengerkit.fileio import ALGEBRA_FORMAT, save_algebra, save_relation
+from mengerkit.fileio import ALGEBRA_FORMAT, representation_to_doc, save_algebra, save_relation
 
 import golden_reports
 
@@ -231,6 +231,40 @@ def test_universe_over_the_cell_cap_exits_3(paths, zero_proj, zero_proj_concrete
     assert main(argv) == 3
     assert f"needs {cells} table cells" in capsys.readouterr().err
     monkeypatch.setattr(tables, "MAX_TABLE_CELLS", cells)
+    assert main(argv) == 0
+
+
+def test_representation_file_over_the_cell_cap_exits_3(tmp_path, zero_proj, zero_proj_concrete,
+                                                       monkeypatch, capsys):
+    # a file holds size * points cells per part, counted before any
+    # assignment is formed; through the CLI on the m=23 pairs sum, whose 11
+    # parts hold more cells than its universe's tables, which pass under
+    # the same cap
+    rep = sum_over_pairs(zero_proj, *domain_relations(zero_proj_concrete)[:2])
+    count = 2 * len(build_universe(zero_proj)) * len(rep.parts)
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
+                                             seed=56, closure_cap=26))
+    points = len(build_universe(abstract_from_concrete(conc)))
+    cli_count = 23 * points * 11
+    assert points * 2 * (2 * 23 + 23 + 1) + 24**2 < cli_count
+    monkeypatch.chdir(tmp_path)
+    save_algebra(conc, "alg.json")
+    for name, rel in zip(("chi", "gamma"), domain_relations(conc)):
+        save_relation(rel, f"{name}.json")
+    argv = ["represent", "--algebra", "alg.json", "--chi", "chi.json", "--gamma", "gamma.json",
+            "--out", "rep.json"]
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", count - 1)
+    with pytest.raises(CapacityError) as err:
+        representation_to_doc(rep)
+    assert err.value.count == count
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", count)
+    assert len(representation_to_doc(rep)["parts"]) == len(rep.parts)
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", cli_count - 1)
+    assert main(argv) == 3
+    assert (f"representation file of 11 parts needs {cli_count} table cells"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "rep.json").exists()
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", cli_count)
     assert main(argv) == 0
 
 

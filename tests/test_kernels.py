@@ -29,6 +29,7 @@ from mengerkit import (
     domain_relations,
     generate_concrete,
     identity_representation,
+    is_faithful,
     is_l_cancellative,
     is_l_regular,
     is_v_negative,
@@ -63,6 +64,7 @@ from oracles import (
     closure_violation_by_cells,
     dense_homomorphism_violation,
     domain_relations_by_bits,
+    faithful_by_rows,
     first_occurrences_by_dict,
     l_cancellative_by_loops,
     l_regular_by_loops,
@@ -297,6 +299,15 @@ def m23():
     return alg, rep
 
 
+@pytest.fixture(scope="module")
+def m45():
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
+                                             seed=1, closure_cap=130))
+    alg = abstract_from_concrete(conc)
+    assert alg.size == 45
+    return conc, alg
+
+
 def test_homomorphism_check_memory_is_bounded(m23):
     alg, rep = m23
     tracemalloc.start()
@@ -349,23 +360,37 @@ def test_parts_beyond_one_word_match_dense_check(m23, monkeypatch):
                 Representation(rep.size, broken.parts[k : k + 1]), alg)
         assert_witness(broken, alg, witnesses[k], monkeypatch)
     assert_witness(corrupted(broken, 0, *cells[0]), alg, witnesses[0], monkeypatch)
-    # two failing parts in one group (part 11 repeats part 0 with another
-    # witness): the lower part's witness comes first
-    other = None
-    while other in (None, witnesses[0]):
-        cell = int(rng.integers(alg.size)), int(rng.integers(count))
-        other = dense_homomorphism_violation(
-            Representation(rep.size, corrupted(big, 11, *cell).parts[11:12]), alg)
-    both = corrupted(corrupted(big, 0, *cells[0]), 11, *cell)
-    assert len(represent._groups(both.parts)) == 2
-    assert_witness(both, alg, witnesses[0], monkeypatch)
-    # a changed defined value that other parts define too splits the group
+    # two failing parts in one group: at 0 and 11, parts over the universe's
+    # own table whose rows, one value flipped, break the homomorphism with
+    # two different witnesses; the lower part's witness comes first
+    universe = rep.parts[0].universe
+
+    def flipped(k):
+        """(part, witness) of part k's row with the first seeded value
+        flipped whose part fails."""
+        witness = None
+        while witness is None:
+            allowed = big.parts[k].allowed.copy()
+            allowed[rng.integers(alg.size)] ^= True
+            part = ReprPart(universe, universe.values, (), allowed)
+            witness = dense_homomorphism_violation(Representation(rep.size, [part]), alg)
+        return part, witness
+
+    parts = list(big.parts)
+    parts[0], first = flipped(0)
+    other = first
+    while other == first:
+        parts[11], other = flipped(11)
+    both = Representation(rep.size, parts)
+    layout = [len(members) for members, _ in groups]
+    assert [len(members) for members, _ in represent._groups(both.parts)] == layout
+    assert_witness(both, alg, first, monkeypatch)
+    # a part with a table of its own is a group of its own, between the
+    # runs before and after it, which the 35 parts after it fill anew
     k = 30
-    assign = big.parts[k].assign
-    shared = (assign >= 0) & (big.parts[k - 1].assign >= 0) & (big.parts[k + 1].assign >= 0)
-    g, p = (int(v) for v in np.argwhere(shared)[0])
+    g, p = (int(v) for v in np.argwhere(big.parts[k].assign >= 0)[0])
     split = changed_value(big, k, g, p)
-    assert len(represent._groups(split.parts)) > len(groups)
+    assert [len(members) for members, _ in represent._groups(split.parts)] == [k, 1, 35]
     expected = dense_homomorphism_violation(Representation(rep.size, split.parts[k : k + 1]),
                                             alg)
     assert_witness(split, alg, expected, monkeypatch)
@@ -546,6 +571,28 @@ def test_homomorphism_memory_is_bounded_at_m45():
     finally:
         tracemalloc.stop()
     assert peak < 14 * 2**20
+
+
+def test_sum_relations_and_faithfulness_memory_is_bounded_at_m45(m45):
+    # with the universe built first, every built part reads its table
+    # through its own row; measured 2.2 MB, while int64 copies of the table
+    # per part and their concatenation took 110.6 MB
+    conc, alg = m45
+    chi, gamma, _ = domain_relations(conc)
+    values = build_universe(alg).values
+    tracemalloc.start()
+    try:
+        pairs = sum_over_pairs(alg, chi, gamma)
+        relations = representation_relations(pairs)
+        points = sum_over_points(alg, chi)
+        collision = is_faithful(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert all(part.values is values for part in pairs.parts + points.parts)
+    assert relations == representation_relations_by_parts(pairs)
+    assert collision == faithful_by_rows(points)
 
 
 def test_l_regular_memory_is_bounded_at_m45():
@@ -735,12 +782,27 @@ def test_non_closed_sets_match_loops(menger_battery, plain_battery):
     assert missing > 100
 
 
-def test_domain_relations_match_bits_and_parts(menger_battery, plain_battery):
+def test_domain_relations_match_bits_and_parts(menger_battery, plain_battery, m45):
+    sums = []
     for conc in menger_battery[:8] + plain_battery[:8]:
         assert domain_relations(conc) == domain_relations_by_bits(conc)
         alg, reps = battery_representations(conc)
-        for rep in reps + [Representation(alg.size, ())]:
-            assert representation_relations(rep) == representation_relations_by_parts(rep)
+        sums += reps + [Representation(alg.size, ())]
+    # at m=45: the pairs and the points sum, the identity beside the points
+    # sum, a corrupted part between the pairs sum's own, whose rows read the
+    # universe's table, and a summand twice
+    conc, alg = m45
+    chi, gamma, _ = domain_relations(conc)
+    pairs, points = sum_over_pairs(alg, chi, gamma), sum_over_points(alg, chi)
+    sums += [pairs, points, sum_representations([identity_representation(conc), points]),
+             corrupted(pairs, 30, 7, 100), sum_representations([points, pairs, points])]
+    collisions = set()
+    for rep in sums:
+        assert representation_relations(rep) == representation_relations_by_parts(rep)
+        collision = is_faithful(rep)
+        assert collision == faithful_by_rows(rep)
+        collisions.add(collision is None)
+    assert collisions == {False, True}
 
 
 def test_abstraction_memory_is_bounded():

@@ -21,3 +21,8 @@ def test_first_rung_measures_every_call():
     # the pairs sum: a group of 58 parts in 8-byte words, and one of 13
     assert [group["parts"] for group in rung["homomorphism_groups"]] == [58, 13]
     assert rung["homomorphism_groups"][0]["word_bytes"] == 8
+    # its relations are chi, gamma and pi, in 1.5 MB with the universe built
+    relations = rung["representation_relations(pairs sum)"]
+    assert relations["result"] == "True" and relations["again_peak_mb"] < 8
+    verify = rung["verify --target triplet"]
+    assert (verify["exit"], verify["traceback"], verify["stderr"]) == (0, False, "")
