@@ -6,19 +6,26 @@ realized domain relations chi, gamma and pi.  Each rung runs in its own
 child process under a 3 GB address-space limit, so that an oversized
 array ends the rung with a MemoryError instead of taking the machine's
 memory.  For each rung it records the carrier size, the number of right
-translations and of distinct ones, the word states, the groups of parts
-of the pairs sum with the bytes of their words, and for
+translations and of distinct ones (``translation_classes``), the number
+of superposition generators the Menger laws and the homomorphism check
+are decided at (the carrier size where there are none; absent on trees
+without ``superposition_generators``), the word states, the groups of
+parts of the pairs sum with the bytes of their words, and for
 ``reachable_states``, ``is_l_regular(chi)``, ``is_l_cancellative(gamma)``,
 ``verify_conditions`` on the triplet target, ``check_menger_identities``,
 ``sum_over_pairs(alg, chi, gamma)`` with ``representation_relations`` of
 it (whose result is whether they equal chi, gamma and pi) and
 ``verify_homomorphism`` of that sum: the wall time of the first call
 (which builds the algebra's derived tables; ``reachable_states`` keeps
-nothing, so each of its calls is a first one) and of a second one, and
-the tracemalloc peak of a third (timed calls run untraced: tracing slows
-the Python loops of the state search several times over).  A call that
-raises CapacityError or MemoryError records the error (and the count
-reached) as its result, and the rung goes on.
+nothing, so each of its calls is a first one) and of a second one, the
+tracemalloc peak of a third (timed calls run untraced: tracing slows
+the Python loops of the state search several times over), the place of
+the call in the rung's order (a first call's time depends on what the
+calls before it left in the allocator), and the equations the first
+call compared, as the (phase, count) of each equation-cap check it
+made: one per law phase, one per group of parts of the homomorphism
+check.  A call that raises CapacityError or MemoryError records the
+error (and the count reached) as its result, and the rung goes on.
 
 Before all of these, ``mengerkit verify --target triplet`` runs end to
 end on the rung's algebra and relations, written by ``fileio``, in a
@@ -75,21 +82,46 @@ def traced_peak(call) -> float:
         tracemalloc.stop()
 
 
-def measured(call) -> dict:
-    """The result, the first and the second call's time and a third call's
-    tracemalloc peak, or the CapacityError or MemoryError of the first
-    call."""
+def counting_equations(call, equations: list):
+    """call, with the (phase, count) of every equation-cap check it makes
+    appended to equations."""
+    from mengerkit import algebra, represent
+
+    def run():
+        modules = (algebra, represent)
+        checks = [module._check_law_cap for module in modules]
+        for module, check in zip(modules, checks):
+            module._check_law_cap = lambda phase, count, check=check: (
+                equations.append([phase, count]), check(phase, count))
+        try:
+            return call()
+        finally:
+            for module, check in zip(modules, checks):
+                module._check_law_cap = check
+
+    return run
+
+
+def measured(call, order: int) -> dict:
+    """The result, the first and the second call's time, a third call's
+    tracemalloc peak and the equations the first call compared, or the
+    CapacityError or MemoryError of the first call; with the call's place
+    in the rung's order."""
     from mengerkit import CapacityError
 
+    equations = []
+    place = {"order": order}
     try:
-        result, first = timed(call)
+        result, first = timed(counting_equations(call, equations))
     except CapacityError as exc:
-        return {"result": f"CapacityError: {exc}", "count": exc.count}
+        return place | {"result": f"CapacityError: {exc}", "count": exc.count,
+                        "equations": equations}
     except MemoryError as exc:
-        return {"result": f"MemoryError: {exc}"}
+        return place | {"result": f"MemoryError: {exc}", "equations": equations}
     _, again = timed(call)
-    return {"result": repr(result), "first_s": round(first, 5), "again_s": round(again, 5),
-            "again_peak_mb": round(traced_peak(call), 3)}
+    return place | {"result": repr(result), "first_s": round(first, 5),
+                    "again_s": round(again, 5), "again_peak_mb": round(traced_peak(call), 3),
+                    "equations": equations}
 
 
 def limit_address_space():
@@ -128,8 +160,8 @@ def run_rung(seed: int) -> dict:
                            is_l_cancellative, is_l_regular, reachable_states,
                            representation_relations, sum_over_pairs, verify_conditions,
                            verify_homomorphism)
-    from mengerkit import represent
-    from mengerkit.algebra import distinct_columns, right_translations
+    from mengerkit import algebra, represent
+    from mengerkit.algebra import right_translations, translation_classes
 
     start = time.perf_counter()
     conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
@@ -138,18 +170,22 @@ def run_rung(seed: int) -> dict:
     chi, gamma, pi = domain_relations(conc)
     rung = {"seed": seed, "m": alg.size, "generate_s": round(time.perf_counter() - start, 4)}
     rung["verify --target triplet"] = verify_end_to_end(conc, (chi, gamma, pi))
-    rung["reachable_states"] = measured(lambda: len(reachable_states(alg).slots))
     calls = {
+        "reachable_states": lambda: len(reachable_states(alg).slots),
         "is_l_regular(chi)": lambda: is_l_regular(chi, alg),
         "is_l_cancellative(gamma)": lambda: is_l_cancellative(gamma, alg),
         "verify_conditions(triplet)": lambda: verify_conditions(
             alg, Target("triplet", chi=chi, gamma=gamma, pi=pi)).ok,
         "check_menger_identities": lambda: check_menger_identities(alg),
+        "representation_relations(pairs sum)": lambda: representation_relations(
+            sum_over_pairs(alg, chi, gamma)) == (chi, gamma, pi),
     }
-    for name, call in calls.items():
-        rung[name] = measured(call)
-    rung["representation_relations(pairs sum)"] = measured(
-        lambda: representation_relations(sum_over_pairs(alg, chi, gamma)) == (chi, gamma, pi))
+    for order, (name, call) in enumerate(calls.items()):
+        rung[name] = measured(call, order)
+    # trees older than superposition generators record none
+    if hasattr(algebra, "superposition_generators"):
+        generators = algebra.superposition_generators(alg)
+        rung["generators"] = alg.size if generators is None else len(generators)
     pairs_sum = sum_over_pairs(alg, chi, gamma)
     # trees older than represent._word_dtype record the parts alone
     word_dtype = getattr(represent, "_word_dtype", None)
@@ -157,10 +193,9 @@ def run_rung(seed: int) -> dict:
         {"parts": len(parts)} | ({"word_bytes": word_dtype(parts).itemsize} if word_dtype else {})
         for parts, _ in represent._groups(pairs_sum.parts)]
     rung["verify_homomorphism(pairs sum)"] = measured(
-        lambda: verify_homomorphism(pairs_sum, alg))
-    table, _ = right_translations(alg)
-    rung["translations"] = int(table.shape[1])
-    rung["translation_classes"] = len(distinct_columns(table))
+        lambda: verify_homomorphism(pairs_sum, alg), len(calls))
+    rung["translations"] = int(right_translations(alg)[0].shape[1])
+    rung["translation_classes"] = len(translation_classes(alg)[0])
     return rung
 
 

@@ -67,6 +67,7 @@ class AbstractAlgebra:
     read-only (m,) * (n + 1) intp array, or None on plain flavor.  Every
     value derived from the tables (word states and their word pairs, zero,
     plain reduct, seed relations, translation table and its classes,
+    superposition generators and the law verdicts decided at them,
     universe, oracle family) is computed once through :meth:`derived` and
     kept for the algebra's lifetime, so it is observable as if computed
     eagerly.
@@ -163,16 +164,64 @@ def right_translations(alg: AbstractAlgebra):
 
 
 def translation_classes(alg: AbstractAlgebra):
-    """(reps, table), kept with the algebra: the columns of
+    """(reps, table, landing), kept with the algebra: the columns of
     right_translations that start a class of equal columns (see
-    distinct_columns), and the read-only (m, classes) table of those
-    columns, one distinct right translation each."""
+    distinct_columns), the read-only (m, classes) table of those columns,
+    one distinct right translation each, and the (m, classes) intp index
+    table[x, c] + m * c, where class c's block of a row gathered per class
+    holds the entry of table[x, c].  The index stays writeable: numpy's
+    take copies a read-only index on every call (4.7 MB per row block at
+    m=108)."""
     def compute():
         table, _ = right_translations(alg)
         reps = distinct_columns(table.astype(np.min_scalar_type(alg.size - 1)))
-        return reps, _read_only(table.take(reps, axis=1))  # C order, for row gathers
+        classes = _read_only(table.take(reps, axis=1))  # C order, for row gathers
+        return reps, classes, classes + alg.size * np.arange(len(reps))
 
     return alg.derived("translation classes", compute)
+
+
+def superposition_generators(alg: AbstractAlgebra) -> np.ndarray | None:
+    """The ascending elements G at which the Menger laws and the
+    homomorphism check are decided (see check_menger_identities), kept
+    with the algebra: a set whose closure under superposition is the whole
+    carrier, or None on plain flavor and where G is the whole carrier.
+
+    G starts with the elements outside the superposition table's image,
+    which every generating set holds, and takes the first element that the
+    closure of G misses until that closure, made from G alone, is the
+    carrier: a set is returned only once its closure has been checked."""
+    def compute():
+        if alg.flavor != "menger":
+            return None
+        heads = np.ones(alg.size, bool)
+        heads[alg.superposition.ravel()] = False
+        while not (inside := _superposition_closure(alg, heads)).all():
+            heads[inside.argmin()] = True
+        return None if heads.all() else np.flatnonzero(heads)
+
+    return alg.derived("generators", compute)
+
+
+def _superposition_closure(alg: AbstractAlgebra, inside: np.ndarray) -> np.ndarray:
+    """The least set that holds the True entries of the bool row
+    ``inside`` and is closed under superposition, as a new bool row: each
+    round adds every x[ys] with x and ys among the members so far,
+    gathered for blocks of heads x under BLOCK_BYTES."""
+    n, m = alg.arity, alg.size
+    table = alg.superposition.reshape(m, m**n)
+    while True:
+        members = np.flatnonzero(inside)
+        tuples = members  # the column of each ys, lexicographic
+        for _ in range(n - 1):
+            tuples = (tuples[:, None] * m + members).ravel()
+        grown = inside.copy()
+        step = block_rows(len(tuples) * table.itemsize)
+        for start in range(0, len(members), step):
+            grown[table[members[start : start + step, None], tuples]] = True
+        if np.count_nonzero(grown) == len(members):
+            return grown
+        inside = grown
 
 
 @dataclass(frozen=True)
@@ -369,13 +418,30 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
     slot-complete word identity (checked on every reachable state whose
     occupants are all carrier elements).
 
+    Superassociativity and the mixed laws are decided at the heads of
+    superposition_generators, a set G whose closure under superposition
+    is the carrier (Light's associativity test, Clifford & Preston I,
+    1.2, carried over).  Say P(x) holds when x[xs][ys] = x[x1[ys] ..
+    xn[ys]] for all xs and ys.  If P(g) and every P(h_i) hold, then P
+    holds at x = g[h1..hn]: x[xs][ys] = g[h1[xs]..hn[xs]][ys] =
+    g[h1[xs][ys] ..] = g[h1[x1[ys]..] ..] = x[x1[ys] ..], by P(g), P(g),
+    each P(h_i) and P(g).  So P on G gives P everywhere.  With
+    superassociativity everywhere, superposition-into-slot at g and at
+    each h_i gives it at g[h1..hn] in the same way, and then, with both,
+    slot-into-superposition does; so in each slot superposition-into-slot
+    is decided first.  A failure at a head in G is a failure, and then
+    the law's scan of every head finds the first witness, so verdicts and
+    witnesses are those of the scan of every head.  The verdicts at G are
+    kept with the algebra (_holds_at_generators), for verify_homomorphism.
+
     Every phase compares its equations in passes under BLOCK_BYTES.
-    Superassociativity (m**(n+1) equations per distinct column, see
-    _superassociativity_violation) and the mixed laws (2 * n * m**(n+2))
-    each raise CapacityError, naming the phase and its count, before their
-    first pass when the count is over MAX_EQUATIONS; the word identity
-    compares m equations per slot-complete state, which the state cap
-    bounds."""
+    Superassociativity compares |G| * m**n equations per distinct column
+    (m**(n+1) per column when every head is scanned) and the mixed laws
+    2 * n * |G| * m**(n+1) (2 * n * m**(n+2)); each raises
+    CapacityError, naming the phase and the count it would compare, before
+    its first pass when that count is over MAX_EQUATIONS.  The word
+    identity compares m equations per slot-complete state, which the state
+    cap bounds."""
     if alg.flavor != "menger":
         raise InputError("menger identities require menger flavor")
     violation = _superassociativity_violation(alg) or _mixed_law_violation(alg)
@@ -390,6 +456,24 @@ def check_menger_identities(alg: AbstractAlgebra) -> Violation | None:
             "word-superposition", (space.word(s), x),
             "x . word != x[occupants(word)] on a slot-complete word")
     return None
+
+
+def _holds_at_generators(alg: AbstractAlgebra, law: str) -> bool:
+    """Whether ``law``, "superassociativity" or "mixed laws", is known
+    to hold at every head, kept with the algebra: decided at the heads of
+    superposition_generators alone, the mixed laws only once
+    superassociativity holds (see check_menger_identities).  False where
+    there are no such heads or the law fails at one of them."""
+    def compute():
+        heads = superposition_generators(alg)
+        if heads is None:
+            return False
+        if law == "superassociativity":
+            return _superassociativity(alg, heads) is None
+        return (_holds_at_generators(alg, "superassociativity")
+                and _mixed_laws(alg, heads) is None)
+
+    return alg.derived(("holds at generators", law), compute)
 
 
 def distinct_columns(table: np.ndarray) -> np.ndarray:
@@ -420,12 +504,13 @@ def tuple_index(coords: np.ndarray, n: int, radix: int, start: int, stop: int) -
 
 
 def scan_equations(heads: np.ndarray, left: np.ndarray, right: np.ndarray, land,
-                   low: int = 0):
+                   low: int = 0, head_rows: np.ndarray | None = None):
     """(failing bits, first failing (h, a, c) or None) of the equations
 
         left[heads[h, a], c] == right[h, landing[a, c]] & gate[a, c]
 
-    for every head h (a row of ``heads``), argument a (a column of
+    for every head h (a row of ``heads``, or only the ascending rows
+    ``head_rows`` when given), argument a (a column of
     ``heads``: m**k argument tuples, lexicographic, so each leading
     argument owns a run of m**(k-1)) and column c of ``left``.  Column c
     is a map of the carrier, a point's words or an argument tuple's values;
@@ -459,10 +544,12 @@ def scan_equations(heads: np.ndarray, left: np.ndarray, right: np.ndarray, land,
     class.  So the first failing (h, a, c) gives the first failing
     (h, a, member) over all members, and every distinct equation is still
     compared."""
-    m, width = heads.shape
-    per_row, columns = width // m, left.shape[1]
+    m, columns = left.shape  # a composite is a row of left
+    if head_rows is not None:
+        heads, right = heads[head_rows], right[head_rows]
+    per_row = heads.shape[1] // m
     rows = block_rows(per_row * columns * (np.dtype(np.intp).itemsize + right.itemsize))
-    failing, found, last = 0, None, m
+    failing, found, last = 0, None, len(heads)
     for start in range(0, m, rows):
         landing, gate = land(start, min(m, start + rows))
         first = start * per_row
@@ -478,7 +565,8 @@ def scan_equations(heads: np.ndarray, left: np.ndarray, right: np.ndarray, land,
                 continue
             if not low:
                 head, a, c = _first(x != 0)
-                found, last = (h + head, first + a, c), h + head
+                last = h + head
+                found = (last if head_rows is None else int(head_rows[last]), first + a, c)
                 break
             differ = x > low  # the values differ
             x &= low  # bL ^ bR
@@ -490,7 +578,17 @@ def scan_equations(heads: np.ndarray, left: np.ndarray, right: np.ndarray, land,
 
 
 def _superassociativity_violation(alg: AbstractAlgebra) -> Violation | None:
-    """First failure of x0[x1..xn][ys] = x0[x1[ys] .. xn[ys]], in
+    """First failure of superassociativity: None when it holds at the
+    superposition generators (_holds_at_generators), else the scan of
+    every head."""
+    if _holds_at_generators(alg, "superassociativity"):
+        return None
+    return _superassociativity(alg)
+
+
+def _superassociativity(alg: AbstractAlgebra, heads: np.ndarray | None = None):
+    """First failure of x0[x1..xn][ys] = x0[x1[ys] .. xn[ys]] with x0
+    among the ascending ``heads`` (default: every element), in
     lexicographic order of (x0, xs, ys).
 
     With c the column x -> x[ys] of the superposition table, the law reads
@@ -499,14 +597,15 @@ def _superassociativity_violation(alg: AbstractAlgebra) -> Violation | None:
     heads and right side, and the first failing (x0, xs, class) names the
     first failing ys, the first tuple of its class."""
     n, m = alg.arity, alg.size
-    heads = alg.superposition.reshape(m, m**n)  # heads[x, k]: x at the k-th tuple
-    values = heads.astype(np.min_scalar_type(m - 1))
+    table = alg.superposition.reshape(m, m**n)  # table[x, k]: x at the k-th tuple
+    values = table.astype(np.min_scalar_type(m - 1))
     reps = distinct_columns(values)
-    _check_law_cap("Menger identities: superassociativity", len(reps) * m ** (n + 1))
-    coords = heads[:, reps]
-    _, found = scan_equations(heads, values[:, reps], values,
+    count = m if heads is None else len(heads)
+    _check_law_cap("Menger identities: superassociativity", len(reps) * count * m**n)
+    coords = table[:, reps]
+    _, found = scan_equations(table, values[:, reps], values,
                               lambda start, stop: (tuple_index(coords, n, m, start, stop),
-                                                   None))
+                                                   None), head_rows=heads)
     if found is None:
         return None
     x0, k, c = found
@@ -532,8 +631,18 @@ def _word_superposition_mismatch(alg: AbstractAlgebra,
 
 
 def _mixed_law_violation(alg: AbstractAlgebra) -> Violation | None:
-    """First failure of the two mixed laws, slot by slot, each over all
-    instantiations in lexicographic order of its witness, both by
+    """First failure of the two mixed laws: None when they hold at the
+    superposition generators (_holds_at_generators), else the scan of
+    every head."""
+    if _holds_at_generators(alg, "mixed laws"):
+        return None
+    return _mixed_laws(alg)
+
+
+def _mixed_laws(alg: AbstractAlgebra, heads: np.ndarray | None = None):
+    """First failure of the two mixed laws with head x among the
+    ascending ``heads`` (default: every element), slot by slot, each over
+    all instantiations in lexicographic order of its witness, both by
     scan_equations with the superposition table as right side:
 
     - slot-into-superposition (x *i y)[z1..zn] = x[z1.. y[z1..zn] ..zn],
@@ -541,30 +650,47 @@ def _mixed_law_violation(alg: AbstractAlgebra) -> Violation | None:
       column c -> c[zs]; y's argument lands at zs with slot i set to y[zs];
     - superposition-into-slot x[y1..yn] *i z = x[y1 *i z .. yn *i z],
       witness (x, ys, z): head x, arguments ys, and one column per z, the
-      right translation c -> c *i z; ys lands at (y1 *i z .. yn *i z)."""
+      right translation c -> c *i z; ys lands at (y1 *i z .. yn *i z).
+
+    Every head checks slot-into-superposition first in each slot, in
+    witness order; given heads check superposition-into-slot first, which
+    the other's induction step uses (see check_menger_identities)."""
     n, m = alg.arity, alg.size
-    _check_law_cap("Menger identities: mixed laws", 2 * n * m ** (n + 2))
+    count = m if heads is None else len(heads)
+    _check_law_cap("Menger identities: mixed laws", 2 * n * count * m ** (n + 1))
     dtype = np.min_scalar_type(m - 1)
-    heads = alg.superposition.reshape(m, m**n)
-    values = heads.astype(dtype)
+    table = alg.superposition.reshape(m, m**n)
+    values = table.astype(dtype)
     tuples = np.arange(m**n)
-    for slot, M in enumerate(alg.mann):
+
+    def slot_into_superposition(slot, M):
         weight = m ** (n - 1 - slot)
         base = tuples - tuples // weight % m * weight  # zs with slot i cleared
         _, found = scan_equations(M, values, values, lambda start, stop: (
-            base + heads[start:stop] * weight, None))
-        if found is not None:
-            x, y, k = found
-            zs = tuple(int(v) for v in np.unravel_index(k, (m,) * n))
-            return Violation(f"slot-into-superposition:{slot + 1}", (x, y, zs),
-                             "(x *i y)[z..] != x[z.. y[z..] ..z]")
-        _, found = scan_equations(heads, M.astype(dtype), values, lambda start, stop: (
-            tuple_index(M, n, m, start, stop), None))
-        if found is not None:
-            x, k, z = found
-            ys = tuple(int(v) for v in np.unravel_index(k, (m,) * n))
-            return Violation(f"superposition-into-slot:{slot + 1}", (x, ys, z),
-                             "x[y..] *i z != x[y1 *i z .. yn *i z]")
+            base + table[start:stop] * weight, None), head_rows=heads)
+        if found is None:
+            return None
+        x, y, k = found
+        zs = tuple(int(v) for v in np.unravel_index(k, (m,) * n))
+        return Violation(f"slot-into-superposition:{slot + 1}", (x, y, zs),
+                         "(x *i y)[z..] != x[z.. y[z..] ..z]")
+
+    def superposition_into_slot(slot, M):
+        _, found = scan_equations(table, M.astype(dtype), values, lambda start, stop: (
+            tuple_index(M, n, m, start, stop), None), head_rows=heads)
+        if found is None:
+            return None
+        x, k, z = found
+        ys = tuple(int(v) for v in np.unravel_index(k, (m,) * n))
+        return Violation(f"superposition-into-slot:{slot + 1}", (x, ys, z),
+                         "x[y..] *i z != x[y1 *i z .. yn *i z]")
+
+    laws = (slot_into_superposition, superposition_into_slot)
+    for slot, M in enumerate(alg.mann):
+        for law in laws if heads is None else laws[::-1]:
+            violation = law(slot, M)
+            if violation is not None:
+                return violation
     return None
 
 

@@ -44,16 +44,14 @@ def _translated_violation(r: BinRelation, alg: AbstractAlgebra, related: bool,
     decided once per class of equal columns (translation_classes), for
     blocks of rows x (block_rows): a row x holds the gathered rows, the
     held entries and their comparison, one bool per (y, class) each; the
-    landing index beside them takes m * classes entries, as the class
-    table does.  Classes are numbered by first occurrence, so
-    the first failing class of a pair starts at the pair's first failing
-    column."""
+    landing index is kept with the class table.  Classes are numbered by
+    first occurrence, so the first failing class of a pair starts at the
+    pair's first failing column."""
     _check_sized(r, alg)
     R = r.matrix
-    reps, classes = translation_classes(alg)
+    reps, classes, landing = translation_classes(alg)
     m, count = classes.shape
     # images[x, c * m + j] = R[t_c(x), j], so images[x, landing[y, c]] = R[t_c(x), t_c(y)]
-    landing = classes + m * np.arange(count)
     rows = block_rows(3 * m * count)
     for start in range(0, m, rows):
         images = R[classes[start : start + rows]].reshape(-1, count * m)

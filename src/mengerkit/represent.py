@@ -45,15 +45,17 @@ from .algebra import (
     AbstractAlgebra,
     StateSpace,
     Violation,
+    _holds_at_generators,
     _shared_slots,
     _word_superposition_mismatch,
     distinct_columns,
     fold_arguments,
     scan_equations,
+    superposition_generators,
     tuple_index,
 )
 from .bitrel import BinRelation
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .relations import is_l_regular, is_v_negative
 from .tables import _check_law_cap, _check_table_cells, relations_of_domains, row_lookup
 
@@ -342,26 +344,49 @@ def verify_homomorphism(rep: Representation, alg: AbstractAlgebra) -> Violation 
 
     Slot compositions substitute the inner value into the coordinate;
     superposition (menger flavor, universes carrying every all-tuple
-    point) feeds computed values as a fresh argument tuple.  Every
-    distinct equation is compared in every part: n * m**2 slot equations
-    per universe point, and m**(n+1) superposition equations per class of
-    points with equal word columns (see _scan).  Parts are checked in
-    order, and within a part slots 1..n and then superposition, each in
-    lexicographic order of its elements and point; the first mismatch is
-    returned with the elements and point involved.
+    point) feeds computed values as a fresh argument tuple.  Parts are
+    checked in order, and within a part slots 1..n and then
+    superposition, each in lexicographic order of its elements and point;
+    the first mismatch is returned with the elements and point involved.
 
-    Runs of consecutive parts over one value table form groups, each
-    checked in one pass with one bit per part (see _groups and _scan);
-    the lowest failing part of a group is then checked alone for its
-    first witness.  Raises CapacityError when a group has more than
-    MAX_EQUATIONS equations to compare.  Memory is bounded per pass of
-    scan_equations (see BLOCK_BYTES), not by the equation count.
+    Each part's functions are partial n-place functions, undefined off
+    its universe, so they satisfy superassociativity and both mixed laws
+    outright.  Where the algebra's superassociativity and mixed laws are
+    known to hold (see check_menger_identities), the equations are
+    compared at heads in superposition_generators G only.  Write P for a
+    part and x = g[h1..hn].  Superposition equations at g and each h_i give
+    P(x[ys]) = P(g[h1[ys]..hn[ys]]) = P(g)[P(h1)[P(ys)] ..] =
+    P(g)[P(h1)..P(hn)][P(ys)] = P(x)[P(ys)], so at G they hold
+    everywhere.  Slot equations at g and each h_i then give P(x *i y) =
+    P(g[h1 *i y ..]) = P(g)[P(h1) *i P(y) ..] = P(x) *i P(y), through
+    superposition-into-slot on both sides; so slot equations are compared
+    at G only where the same scan compares superposition equations, that
+    is, on universes with every all-tuple point.
+
+    Every distinct equation at those heads is compared in every part: n *
+    m slot equations per head and universe point, and m**n superposition
+    equations per head and class of points with equal word columns (see
+    _scan); without G the heads are all m elements.  Runs of consecutive
+    parts over one value table form groups, each checked in one pass with
+    one bit per part (see _groups and _scan).  A part fails at a head in G
+    exactly when it fails anywhere, so the lowest failing part of a group
+    is the same with G or without; it is then checked alone, at every
+    head, for its first witness.  Raises CapacityError when a group, or
+    that part, has more than MAX_EQUATIONS equations to compare.  Memory
+    is bounded per pass of scan_equations (see BLOCK_BYTES), not by the
+    equation count.
     """
     if rep.size != alg.size:
         raise InputError("representation carrier does not match algebra")
+    try:
+        generators = (superposition_generators(alg)
+                      if _holds_at_generators(alg, "mixed laws") else None)
+    except CapacityError:  # the laws are not known to hold
+        generators = None
     for parts, values in _groups(rep.parts):
-        failing, violation = _scan(parts, values, alg)
-        if failing and violation is None:
+        heads = generators if parts[0].universe.all_index is not None else None
+        failing, violation = _scan(parts, values, alg, heads)
+        if failing and (violation is None or heads is not None):
             part = parts[(failing & -failing).bit_length() - 1]
             _, violation = _scan([part], part.assign, alg)
         if violation is not None:
@@ -394,8 +419,9 @@ def _word_dtype(parts) -> np.dtype:
     return np.min_scalar_type((1 << bits + int(parts[0].universe.value_size).bit_length()) - 1)
 
 
-def _scan(parts, values, alg: AbstractAlgebra):
-    """(failing bits, first Violation) of one group of parts.
+def _scan(parts, values, alg: AbstractAlgebra, heads: np.ndarray | None = None):
+    """(failing bits, first Violation) of one group of parts, at the
+    ascending ``heads`` (default: every element; see verify_homomorphism).
 
     Each element and point has a word: value + 1 (0 where no part is
     defined) above one domain bit per part, bit k set where part k is
@@ -455,7 +481,8 @@ def _scan(parts, values, alg: AbstractAlgebra):
         gates = table | ((1 << 8 * table.itemsize) - 1 - low)
     superposition = alg.superposition is not None and universe.all_index is not None
     reps = distinct_columns(table) if superposition else ()
-    _check_law_cap("homomorphism check", n * m**2 * count + m ** (n + 1) * len(reps))
+    rows = m if heads is None else len(heads)
+    _check_law_cap("homomorphism check", n * rows * m * count + rows * m**n * len(reps))
     # the right side reads column `count`, all zeros, at landing point -1
     words = np.zeros((m, count + 1), dtype)
     words[:, :count] = table
@@ -466,8 +493,8 @@ def _scan(parts, values, alg: AbstractAlgebra):
                                     None if lone else gates[start:stop])
 
     laws = [(f"homomorphism-slot:{slot + 1}", "P(g1 *i g2) differs from P(g1) *i P(g2)",
-             heads, table, slot_landing(slot), int, universe.points)
-            for slot, heads in enumerate(alg.mann)]
+             composites, table, slot_landing(slot), int, universe.points)
+            for slot, composites in enumerate(alg.mann)]
     if superposition:
         laws.append(("homomorphism-superposition",
                      "P(g[g1..gn]) differs from P(g)[P(g1)..P(gn)]",
@@ -477,8 +504,8 @@ def _scan(parts, values, alg: AbstractAlgebra):
                      lambda a: tuple(int(v) for v in np.unravel_index(a, (m,) * n)),
                      [universe.points[p] for p in reps.tolist()]))
     failing = 0
-    for law, message, heads, left, land, arguments, at in laws:
-        found_bits, found = scan_equations(heads, left, words, land, low)
+    for law, message, composites, left, land, arguments, at in laws:
+        found_bits, found = scan_equations(composites, left, words, land, low, heads)
         failing |= found_bits
         if found is not None:
             h, a, c = found

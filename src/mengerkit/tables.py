@@ -46,11 +46,14 @@ MAX_CELLS = 1 << 16
 # bytes one pass of a blocked scan holds at once (see block_rows)
 BLOCK_BYTES = 1 << 20
 # equations one law phase, or one group of parts of the homomorphism check,
-# compares: n * m**3 for associativity (1.0e9 at n=2, m=800), m**(n+1) per
-# distinct superassociativity column (6.9e9 at m=108, 5488 columns, which is
-# refused), 2 * n * m**(n+2) for the mixed laws (2**30 at m=128), and n *
-# m**2 per universe point plus m**(n+1) per distinct word column for the
-# homomorphism check (4.2e8 at m=81; 7.2e9 at m=108, refused)
+# compares: n * m**3 for associativity (1.0e9 at n=2, m=800); with G the
+# superposition generators they are decided at (algebra.
+# superposition_generators; G is every element where there are none, and
+# for the scan of every head after a failure at G), |G| * m**n per
+# distinct superassociativity column (3.2e8 at m=108, 5 generators and
+# 5488 columns; 6.9e9 at every head), 2 * n * |G| * m**(n+1) for the mixed
+# laws, and n * |G| * m per universe point plus |G| * m**n per distinct
+# word column for the homomorphism check (7.2e9 at every head at m=108)
 MAX_EQUATIONS = 1 << 30
 # cells of the tables a universe, a block of composites, the composite
 # indices of a concrete algebra or a representation file's assignments need

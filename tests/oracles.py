@@ -214,6 +214,20 @@ def superassociativity_by_heads(alg):
     return None
 
 
+def superposition_closure_by_loops(alg, members) -> set[int]:
+    """The closure of ``members`` under superposition, by adding every
+    g[args] of the members so far, one cell at a time, until nothing is
+    new.  Cross-check oracle for the generating sets the Menger laws and
+    the homomorphism check are decided at."""
+    t, closed = Tables(alg), {int(g) for g in members}
+    while True:
+        grown = closed | {t.sup_at(g, args) for g in closed
+                          for args in product(sorted(closed), repeat=alg.arity)}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
 def superassociativity_by_loops(alg):
     """Superassociativity by a loop over every (x0, xs, ys), in that
     lexicographic order."""

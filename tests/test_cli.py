@@ -29,7 +29,7 @@ from mengerkit import (
     roundtrip,
     sum_over_pairs,
 )
-from mengerkit import represent, tables
+from mengerkit import algebra, represent, tables
 from mengerkit.cli import main
 from mengerkit.fileio import ALGEBRA_FORMAT, representation_to_doc, save_algebra, save_relation
 
@@ -160,17 +160,18 @@ def test_check_over_the_law_cap_exits_3(paths, zero_proj, monkeypatch, capsys):
 
 
 def test_check_over_the_menger_cap_exits_3(tmp_path, monkeypatch, capsys):
-    # superassociativity compares m**(n+1) equations per distinct column of
-    # the superposition table, the mixed laws 2 * n * m**(n+2); on this m=4
-    # algebra both exceed associativity's n * m**3, which runs first under
-    # the same cap
+    # at the three superposition generators, superassociativity compares
+    # |G| * m**n equations per distinct column of the superposition table,
+    # the mixed laws 2 * n * |G| * m**(n+1); on this m=4 algebra both
+    # exceed associativity's n * m**3, which runs first under the same cap
     alg = abstract_from_concrete(generate_concrete(GeneratorConfig(
         arity=2, base_size=2, generator_count=1, seed=5)))
     assert alg.size == 4
+    assert algebra.superposition_generators(alg).tolist() == [0, 1, 3]
     path = tmp_path / "alg.json"
     save_algebra(alg, str(path))
     columns = {column.tobytes() for column in alg.superposition.reshape(4, 16).T}
-    phases = [("superassociativity", 4**3 * len(columns)), ("mixed laws", 2 * 2 * 4**4)]
+    phases = [("superassociativity", 3 * 4**2 * len(columns)), ("mixed laws", 2 * 2 * 3 * 4**3)]
     assert 2 * 4**3 < phases[0][1] < phases[1][1]
     argv = ["check", "--algebra", str(path)]
     for phase, count in phases:

@@ -47,11 +47,17 @@ from mengerkit import algebra, fileio, forge, represent, tables
 from mengerkit.algebra import (
     EMPTY,
     StateSpace,
+    _holds_at_generators,
     _mixed_law_violation,
+    _mixed_laws,
     _shared_slots,
+    _superassociativity,
     _zero_law_violation,
+    distinct_columns,
+    superposition_generators,
     translation_classes,
 )
+from mengerkit.cli import main
 from mengerkit.relations import _least_v_negative, _seed_relations, _word_pairs
 from mengerkit.represent import ReprPart
 from mengerkit.tables import first_occurrences
@@ -77,6 +83,7 @@ from oracles import (
     superassociativity_by_heads,
     superassociativity_by_loops,
     superpose_by_cells,
+    superposition_closure_by_loops,
     universe_tables_by_dict,
     v_negative_by_loops,
     zero_law_violation_by_loops,
@@ -553,6 +560,225 @@ def test_planted_translations_match_loops(columns, law, z, monkeypatch):
             violation = ours(r, alg)
             assert violation == loops(r, alg)
             assert violation.law.endswith(law) and violation.witness == (3, 3, z)
+
+
+# -- the laws and the homomorphism check at superposition generators ----------
+
+
+def fresh(alg):
+    """A copy of alg that keeps none of its derived data."""
+    return AbstractAlgebra(alg.arity, alg.size, alg.mann, alg.superposition, alg.zero,
+                           alg.flavor)
+
+
+def scanned_heads(monkeypatch) -> list:
+    """The heads each represent._scan call is given, from here on."""
+    heads, scan = [], represent._scan
+
+    def spy(parts, values, alg, at=None):
+        heads.append(at)
+        return scan(parts, values, alg, at)
+
+    monkeypatch.setattr(represent, "_scan", spy)
+    return heads
+
+
+def witness_head(violation) -> int:
+    """The head of a Menger-law or homomorphism witness: x0 of
+    superassociativity, x of the mixed laws, g1 or g of the homomorphism."""
+    head = violation.witness[0]
+    return head[0] if violation.law == "superassociativity" else head
+
+
+def test_generating_sets_match_loop_closure(menger_battery, m45):
+    # the closure that decides whether a set generates the carrier is the
+    # loop closure, on G and on G without each of its members; G holds
+    # every element outside the superposition table's image, and is
+    # returned only once its closure is the carrier, so the image's
+    # complement, or G without a member, is rejected wherever its closure
+    # leaves an element out
+    algebras = [abstract_from_concrete(c) for c in menger_battery[:80]] + [m45[1]]
+    rejected = proper = 0
+    for alg in algebras:
+        m, generators = alg.size, superposition_generators(alg)
+        if generators is None:
+            continue
+        proper += 1
+        assert superposition_closure_by_loops(alg, generators) == set(range(m))
+        outside = sorted(set(range(m)) - set(alg.superposition.ravel().tolist()))
+        assert set(outside) <= set(generators.tolist())
+        for subset in [outside] + [np.delete(generators, k) for k in range(len(generators))]:
+            inside = np.zeros(m, bool)
+            inside[subset] = True
+            closure = algebra._superposition_closure(alg, inside)
+            assert set(np.flatnonzero(closure).tolist()) == superposition_closure_by_loops(
+                alg, subset)
+            rejected += not closure.all()
+    assert proper >= 20 and rejected >= 20
+    assert len(superposition_generators(m45[1])) == 12
+
+
+def test_laws_at_generators_match_oracles(menger_battery, m18, m23, monkeypatch):
+    # seeded one-cell changes of the mann and superposition tables of
+    # algebras with fewer generators than elements: the verdicts decided at
+    # the generators, then the scan of every head after a failure there,
+    # give the oracles' Violation, also with one head per pass; the first
+    # witness's head is a generator for some changes and not for others
+    rng = np.random.default_rng(22)
+    sources = [alg for alg in map(abstract_from_concrete, menger_battery[:120])
+               if superposition_generators(alg) is not None][:20] + [m18[0], m23[0]]
+    cases = [case for source in sources
+             for case in [source] + [perturbed(source, rng) for _ in range(6)]]
+    # every change of one superposition cell of an m=5 algebra: a few of
+    # them give a first superassociativity witness at a head outside G
+    five = next(alg for alg in sources if alg.size == 5)
+    table = np.array(five.superposition)
+    for cell in np.ndindex(table.shape):
+        for value in set(range(5)) - {table[cell]}:
+            changed = table.copy()
+            changed[cell] = value
+            cases.append(AbstractAlgebra(2, 5, five.mann, changed, flavor="menger"))
+    seen = set()
+    for case in cases:
+        expected = superassociativity_by_heads(case) or (
+            mixed_law_violation_by_loops(case) if case.size <= 12 else _mixed_laws(case))
+        for blocks in (False, True):
+            with monkeypatch.context() as patch:
+                if blocks:
+                    single_row_blocks(patch)
+                alg = fresh(case)
+                assert (algebra._superassociativity_violation(alg)
+                        or _mixed_law_violation(alg)) == expected
+        generators = superposition_generators(case)
+        if generators is not None:
+            seen.add(None if expected is None else (expected.law == "superassociativity",
+                                                    witness_head(expected) in generators))
+    assert seen == {None, (True, True), (True, False), (False, True), (False, False)}
+
+
+def test_homomorphism_at_generators_matches_dense_check(menger_battery, m18, monkeypatch):
+    # corrupted cells of the round-trip representations of algebras whose
+    # laws hold at their generators: every group is scanned at the
+    # generators alone (the heads _scan is given), the failing part then at
+    # every head, and the witness is the dense check's; its head is a
+    # generator for some cells and not for others
+    scans = scanned_heads(monkeypatch)
+    rng = np.random.default_rng(122)
+    cases = []
+    for conc in menger_battery[:120]:
+        if len(cases) < 30 and superposition_generators(abstract_from_concrete(conc)) is not None:
+            cases += [battery_representations(conc)]
+    cases += [(m18[0], [m18[1]])]
+    seen = set()
+    for alg, reps in cases:
+        generators = superposition_generators(alg)
+        for rep in reps:
+            for _ in range(3):
+                k = int(rng.integers(len(rep.parts)))
+                g = int(rng.integers(rep.size))
+                p = int(rng.integers(rep.parts[k].assign.shape[1]))
+                broken = corrupted(rep, k, g, p)
+                scans.clear()
+                violation = verify_homomorphism(broken, alg)
+                assert violation == dense_homomorphism_violation(broken, alg)
+                if scans[0] is not None:
+                    assert scans[0] is generators
+                    seen.add(None if violation is None else witness_head(violation) in generators)
+    assert seen == {None, True, False}
+
+
+def test_failing_superassociativity_gets_every_head(menger_battery, m18, monkeypatch):
+    # changed superposition cells that break superassociativity: the
+    # algebra still has generators, but the mixed laws and the homomorphism
+    # check scan every head, and find the oracles' witnesses.  On battery
+    # algebra 13 (m=10) with x[1, 3] = 4 at x = 8, the mixed laws hold at
+    # the generators 0, 1 and 3 and fail at head 8: their induction step
+    # needs superassociativity
+    conc = menger_battery[13]
+    source = abstract_from_concrete(conc)
+    table = np.array(source.superposition)
+    table[8, 1, 3] = 4
+    pert = AbstractAlgebra(2, 10, source.mann, table, flavor="menger")
+    assert superposition_generators(pert).tolist() == [0, 1, 3]
+    assert _mixed_laws(pert, superposition_generators(pert)) is None
+    expected = mixed_law_violation_by_loops(pert)
+    assert expected.witness[0] == 8 and _mixed_law_violation(pert) == expected
+    scans = scanned_heads(monkeypatch)
+    for rep in battery_representations(conc)[1]:
+        scans.clear()
+        assert verify_homomorphism(rep, pert) == dense_homomorphism_violation(rep, pert)
+        assert scans and all(heads is None for heads in scans)
+    alg, rep = m18
+    scans.clear()
+    clean = fresh(alg)
+    assert verify_homomorphism(rep, clean) is None
+    assert scans and all(heads is superposition_generators(clean) for heads in scans)
+    broken = 0
+    for pert in superposition_perturbations(alg, np.random.default_rng(18), 12):
+        if superassociativity_by_heads(pert) is None or superposition_generators(pert) is None:
+            continue
+        broken += 1
+        scans.clear()
+        assert not _holds_at_generators(pert, "superassociativity")
+        assert verify_homomorphism(rep, pert) == dense_homomorphism_violation(rep, pert)
+        assert scans and all(heads is None for heads in scans)
+    assert broken >= 3
+
+
+def test_checks_at_generators_match_every_head_at_m45(m45, monkeypatch):
+    # at m=45 (12 generators) the laws hold at every head, and seeded
+    # changed superposition cells give superassociativity_by_heads'
+    # witness; corrupted cells of the pairs sum give the witness of the
+    # homomorphism check at every head
+    conc, source = m45
+    alg = fresh(source)
+    assert superassociativity_by_heads(alg) is None
+    assert _superassociativity(alg) is None and _mixed_laws(alg) is None
+    assert check_menger_identities(alg) is None
+    assert _holds_at_generators(alg, "mixed laws")
+    generators = superposition_generators(alg)
+    rng = np.random.default_rng(45)
+    for pert in superposition_perturbations(alg, rng, 6):
+        expected = superassociativity_by_heads(pert)
+        assert algebra._superassociativity_violation(pert) == expected
+    rep = sum_over_pairs(alg, *domain_relations(conc)[:2])
+    seen = set()
+    for _ in range(4):
+        k = int(rng.integers(len(rep.parts)))
+        g, p = int(rng.integers(alg.size)), int(rng.integers(len(rep.parts[k].universe)))
+        broken = corrupted(rep, k, g, p)
+        violation = verify_homomorphism(broken, alg)
+        with monkeypatch.context() as patch:
+            patch.setattr(represent, "_holds_at_generators", lambda alg, law: False)
+            assert verify_homomorphism(broken, alg) == violation
+        seen.add(violation is not None and witness_head(violation) in generators)
+    assert True in seen
+
+
+def test_menger_cap_between_generator_and_full_counts_at_m45(m45, tmp_path, monkeypatch,
+                                                             capsys):
+    # the cap counts the equations compared: at the 12 generators the laws
+    # pass under a cap below the count of the scan of every head; a planted
+    # failure sends superassociativity to that scan, which is refused
+    _, source = m45
+    m, generators = 45, superposition_generators(source)
+    columns = len(distinct_columns(source.superposition.reshape(m, m * m)))
+    cap = 2 * 2 * len(generators) * m**3  # the mixed laws at the generators
+    assert 2 * m**3 < len(generators) * m**2 * columns <= cap < m**3 * columns
+    monkeypatch.setattr(tables, "MAX_EQUATIONS", cap)
+    assert check_menger_identities(fresh(source)) is None
+    planted = next(pert for pert in superposition_perturbations(
+        source, np.random.default_rng(45), 6) if superassociativity_by_heads(pert) is not None)
+    columns = len(distinct_columns(planted.superposition.reshape(m, m * m)))
+    assert len(superposition_generators(planted)) * m**2 * columns <= cap
+    with pytest.raises(CapacityError) as err:
+        check_menger_identities(planted)
+    assert err.value.count == m**3 * columns
+    path = tmp_path / "planted.json"
+    fileio.save_algebra(planted, str(path))
+    assert main(["check", "--algebra", str(path)]) == 3
+    assert (f"Menger identities: superassociativity of {m**3 * columns} equations"
+            in capsys.readouterr().err)
 
 
 def test_homomorphism_memory_is_bounded_at_m45():

@@ -18,6 +18,17 @@ def test_first_rung_measures_every_call():
         "check_menger_identities", "verify_homomorphism(pairs sum)")]
     assert results == ["None", "None", "True", "None", "None"]
     assert rung["reachable_states"]["result"] == "531"
+    # the laws and the homomorphism check compare equations at the 12
+    # generators, the calls in their order
+    assert rung["generators"] == 12
+    assert rung["check_menger_identities"]["equations"] == [
+        ["Menger identities: superassociativity", 12 * 45**2 * 69],
+        ["Menger identities: mixed laws", 2 * 2 * 12 * 45**3]]
+    assert [count for _, count in rung["verify_homomorphism(pairs sum)"]["equations"]] == [
+        4496580, 4302180]
+    assert [rung[name]["order"] for name in (
+        "reachable_states", "is_l_regular(chi)", "check_menger_identities",
+        "verify_homomorphism(pairs sum)")] == [0, 1, 4, 6]
     # the pairs sum: a group of 58 parts in 8-byte words, and one of 13
     assert [group["parts"] for group in rung["homomorphism_groups"]] == [58, 13]
     assert rung["homomorphism_groups"][0]["word_bytes"] == 8
