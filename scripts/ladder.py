@@ -15,7 +15,9 @@ parts of the pairs sum with the bytes of their words, and for
 ``verify_conditions`` on the triplet target, ``check_menger_identities``,
 ``sum_over_pairs(alg, chi, gamma)`` with ``representation_relations`` of
 it (whose result is whether they equal chi, gamma and pi) and
-``verify_homomorphism`` of that sum: the wall time of the first call
+``verify_homomorphism`` of that sum, then ``represent._build_universe``
+(the universe built afresh, word states already kept): the wall time of
+the first call
 (which builds the algebra's derived tables; ``reachable_states`` keeps
 nothing, so each of its calls is a first one) and of a second one, the
 tracemalloc peak of a third (timed calls run untraced: tracing slows
@@ -27,11 +29,18 @@ made: one per law phase, one per group of parts of the homomorphism
 check.  A call that raises CapacityError or MemoryError records the
 error (and the count reached) as its result, and the rung goes on.
 
-Before all of these, ``mengerkit verify --target triplet`` runs end to
-end on the rung's algebra and relations, written by ``fileio``, in a
-child of the rung under the same limit: the report records its exit
-code, its wall time, whether its stderr holds a traceback and the last
-line of that stderr.
+Two more rungs are the arity-3 plain algebras of perfbench's ``queries``
+workload, ``GeneratorConfig(arity=3, base_size=2, generator_count=1,
+seed=s, flavor="plain", closure_cap=40)`` for s = 12 (plain22) and 7
+(plain23).  They measure ``reachable_states``, ``check_representability``
+and ``verify_conditions`` on the triplet target alone: the other calls
+need menger flavor.
+
+Before all of these, on the menger rungs, ``mengerkit verify --target
+triplet`` runs end to end on the rung's algebra and relations, written by
+``fileio``, in a child of the rung under the same limit: the report
+records its exit code, its wall time, whether its stderr holds a
+traceback and the last line of that stderr.
 
 Each rung runs ROUNDS times per checkout, the checkouts taking turns, and
 each time is the fastest of its rounds: on a shared host one call's time
@@ -60,6 +69,7 @@ import tracemalloc
 from pathlib import Path
 
 SEEDS = (1, 19, 27, 36)  # m = 45, 81, 108, 128
+PLAIN_SEEDS = {"plain22": 12, "plain23": 7}  # m = 22, 23 at arity 3
 ROUNDS = 5
 ADDRESS_SPACE_BYTES = 3 * 2**30
 RUNG_TIMEOUT_S = 900
@@ -194,35 +204,65 @@ def run_rung(seed: int) -> dict:
         for parts, _ in represent._groups(pairs_sum.parts)]
     rung["verify_homomorphism(pairs sum)"] = measured(
         lambda: verify_homomorphism(pairs_sum, alg), len(calls))
+    rung["build_universe"] = measured(lambda: len(represent._build_universe(alg)),
+                                      len(calls) + 1)
     rung["translations"] = int(right_translations(alg)[0].shape[1])
     rung["translation_classes"] = len(translation_classes(alg)[0])
     return rung
 
 
-def child(seed: int, src: str):
-    """Entry point of a rung's child process: prints the rung as JSON."""
+def run_plain_rung(name: str) -> dict:
+    """Measure one arity-3 plain rung in this process."""
+    from mengerkit import (GeneratorConfig, Target, abstract_from_concrete,
+                           check_representability, domain_relations, generate_concrete,
+                           reachable_states, verify_conditions)
+
+    start = time.perf_counter()
+    conc = generate_concrete(GeneratorConfig(arity=3, base_size=2, generator_count=1,
+                                             seed=PLAIN_SEEDS[name], flavor="plain",
+                                             closure_cap=40))
+    alg = abstract_from_concrete(conc)
+    chi, gamma, pi = domain_relations(conc)
+    rung = {"rung": name, "seed": PLAIN_SEEDS[name], "m": alg.size,
+            "generate_s": round(time.perf_counter() - start, 4)}
+    calls = {
+        "reachable_states": lambda: len(reachable_states(alg).slots),
+        "check_representability": lambda: check_representability(alg),
+        "verify_conditions(triplet)": lambda: verify_conditions(
+            alg, Target("triplet", chi=chi, gamma=gamma, pi=pi)).ok,
+    }
+    for order, (call_name, call) in enumerate(calls.items()):
+        rung[call_name] = measured(call, order)
+    return rung
+
+
+def child(rung_name: str, src: str):
+    """Entry point of a rung's child process (a menger seed or a name in
+    PLAIN_SEEDS): prints the rung as JSON."""
     limit_address_space()
     sys.path.insert(0, src)
     try:
-        rung = run_rung(seed)
+        rung = run_plain_rung(rung_name) if rung_name in PLAIN_SEEDS else run_rung(int(rung_name))
     except Exception as exc:  # a failing rung (MemoryError, CapacityError) is its result
-        rung = {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+        rung = {"rung": rung_name, "error": f"{type(exc).__name__}: {exc}"}
     print(json.dumps(rung))
 
 
-def measure(checkout: Path, seed: int) -> dict:
+def measure(checkout: Path, rung) -> dict:
+    """One rung (a menger seed or a name in PLAIN_SEEDS) run in a child
+    that imports mengerkit from the checkout."""
     src = str((checkout / "src").resolve())
     # one thread, as in perfbench: a BLAS thread pool reserves address
     # space per thread, which would count against the rung's limit
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     try:
-        done = subprocess.run([sys.executable, __file__, "--rung", str(seed), src],
+        done = subprocess.run([sys.executable, __file__, "--rung", str(rung), src],
                               capture_output=True, text=True, env=env,
                               timeout=RUNG_TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return {"seed": seed, "error": f"timeout after {RUNG_TIMEOUT_S} s"}
+        return {"rung": rung, "error": f"timeout after {RUNG_TIMEOUT_S} s"}
     if done.returncode != 0 or not done.stdout.strip():
-        return {"seed": seed, "error": f"exit {done.returncode}: {done.stderr.strip()[-400:]}"}
+        return {"rung": rung, "error": f"exit {done.returncode}: {done.stderr.strip()[-400:]}"}
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -239,23 +279,26 @@ def fastest(runs: list[dict]) -> dict:
 
 def main(argv: list[str]):
     if argv[:1] == ["--rung"]:
-        child(int(argv[1]), argv[2])
+        child(argv[1], argv[2])
         return
     checkouts = [arg.split("=", 1) for arg in argv] or [
         ("change", str(Path(__file__).resolve().parents[1]))]
     report = {"config": "GeneratorConfig(arity=2, base_size=3, generator_count=1, "
                         "seed=s, flavor='menger', closure_cap=130)",
+              "plain_config": "GeneratorConfig(arity=3, base_size=2, generator_count=1, "
+                              "seed=s, flavor='plain', closure_cap=40)",
               "address_space_limit_bytes": ADDRESS_SPACE_BYTES, "rounds": ROUNDS,
               "host": {"platform": platform.platform(), "machine": platform.machine(),
                        "cpus": os.cpu_count(), "python": platform.python_version()},
               "runs": {}}
-    runs = {label: [[] for _ in SEEDS] for label, _ in checkouts}
+    rungs = SEEDS + tuple(PLAIN_SEEDS)
+    runs = {label: [[] for _ in rungs] for label, _ in checkouts}
     for _ in range(ROUNDS):
-        for rung, seed in enumerate(SEEDS):
+        for index, rung in enumerate(rungs):
             for label, path in checkouts:
-                runs[label][rung].append(measure(Path(path), seed))
-    report["runs"] = {label: [fastest(rounds) for rounds in rungs]
-                      for label, rungs in runs.items()}
+                runs[label][index].append(measure(Path(path), rung))
+    report["runs"] = {label: [fastest(rounds) for rounds in per_rung]
+                      for label, per_rung in runs.items()}
     print(json.dumps(report, indent=2))
 
 

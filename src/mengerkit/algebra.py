@@ -298,9 +298,11 @@ def reachable_states(alg: AbstractAlgebra, cap: int = DEFAULT_STATE_CAP) -> Stat
     step[:, :m] = alg.mann
     fill = step.copy()
     fill[:, m] = np.arange(m)
-    # a child holds its row, the row again among the sorted keys, and an
-    # 8-byte sort index
-    parents_per_block = block_rows(fan * (2 * width * dtype.itemsize + 8))
+    # a child holds its row, the row as zero-padded uint64 words, those
+    # words again in sorted order, and its 8-byte hash, key and order (see
+    # first_occurrences)
+    padded = -(-width * dtype.itemsize // 8) * 8
+    parents_per_block = block_rows(fan * (width * dtype.itemsize + 2 * padded + 24))
 
     # per state: its row, its first event and its second one (-1: none);
     # an event is parent * fan + slot * m + y.  State 0 is the empty word,

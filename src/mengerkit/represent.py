@@ -57,19 +57,23 @@ from .algebra import (
 from .bitrel import BinRelation
 from .errors import CapacityError, InputError
 from .relations import is_l_regular, is_v_negative
-from .tables import _check_law_cap, _check_table_cells, relations_of_domains, row_lookup
+from .tables import (_check_law_cap, _check_table_cells, block_rows, relations_of_domains,
+                     row_lookup)
 
 BLANK = EMPTY  # placeholder coordinate, only valid at its own slot
 
 
-def _check_universe_cells(count: int, n: int, size: int, all_tuples: bool):
+def _check_universe_cells(count: int, n: int, size: int, all_tuples: bool,
+                          value_table: bool):
     """Raise CapacityError when a universe of ``count`` points, holding
-    every carrier tuple or not, needs more than MAX_TABLE_CELLS cells:
-    points * n * (n*m + m + 1) for the moved points and subst, plus
-    (m + 1)**n for all_index when every carrier tuple is a point (7.7 M
-    for the 11 881-point universe at m=108, n=2; a one-point universe at
-    n=32 and m=1 is refused for its 2**32 index cells)."""
-    cells = count * n * (n * size + size + 1) + ((size + 1) ** n if all_tuples else 0)
+    every carrier tuple or not and a value table or not, needs more than
+    MAX_TABLE_CELLS cells: points * n * (n*m + m + 1) for the moved points
+    and subst, points * m for the value table, plus (m + 1)**n for
+    all_index when every carrier tuple is a point (9.0 M for the 11
+    881-point universe at m=108, n=2; a one-point universe at n=32 and m=1
+    is refused for its 2**32 index cells)."""
+    cells = (count * (n * (n * size + size + 1) + (size if value_table else 0))
+             + ((size + 1) ** n if all_tuples else 0))
     _check_table_cells(f"universe of {count} points", cells)
 
 
@@ -88,22 +92,26 @@ class Universe:
         self.values = values  # (carrier, points) array for extended universes
         count, size = len(self.points), value_size
         self.has_all_tuples = sum(BLANK not in p for p in self.points) == size**n
-        _check_universe_cells(count, n, size, self.has_all_tuples)
+        _check_universe_cells(count, n, size, self.has_all_tuples, values is not None)
         rows = np.array(self.points, dtype=np.intp).reshape(count, n)
-        # subst[p, slot, v] is p with coordinate slot set to v, or -1, also at v =
-        # value_size or -1 (undefined): one search finds the points themselves,
-        # these moved points and every all-carrier tuple (for all_index)
-        moved = np.repeat(rows[:, None], n * size, axis=1).reshape(count, n, size, n)
-        moved[:, range(n), :, range(n)] = np.arange(size)
-        tuples = np.indices((size,) * n).reshape(n, -1).T if self.has_all_tuples else rows[:0]
-        found = row_lookup(rows)(np.concatenate([rows, moved.reshape(-1, n), tuples]))
-        own, subst, all_index = np.split(found, [count, count * (1 + n * size)])
-        if (own != np.arange(count)).any():
+        find = row_lookup(rows)
+        if (find(rows) != np.arange(count)).any():
             raise InputError("duplicate points in universe")
+        # subst[p, slot, v] is p with coordinate slot set to v, or -1, also at v =
+        # value_size or -1 (undefined), looked up in blocks of points: per
+        # moved point its n intp coordinates, the key it is matched against
+        # (n * 8 bytes), four intp indices and a bool (see row_lookup)
         self.subst = np.full((count, n, size + 1), -1, dtype=np.intp)
-        self.subst[:, :, :-1] = subst.reshape(count, n, size)
+        step = block_rows(n * size * (16 * n + 33))
+        for start in range(0, count, step):
+            moved = np.repeat(rows[start : start + step, None], n * size, axis=1)
+            moved = moved.reshape(-1, n, size, n)
+            moved[:, range(n), :, range(n)] = np.arange(size)
+            self.subst[start : start + step, :, :-1] = find(moved.reshape(-1, n)).reshape(
+                -1, n, size)
         self.all_index = None  # all_index[c]: the all-carrier point c, padded with -1
         if self.has_all_tuples:
+            all_index = find(np.indices((size,) * n).reshape(n, -1).T)
             if (all_index < 0).any():
                 raise InputError("universe is missing all-tuple points")
             self.all_index = np.full((size + 1,) * n, -1, dtype=np.intp)
@@ -149,15 +157,17 @@ def _build_universe(alg: AbstractAlgebra) -> Universe:
     # on plain flavor every state; then the blank point
     complete = (space.slots != EMPTY).all(axis=1)
     carrier = np.count_nonzero(complete) if bullet else m**n  # points, no placeholder
-    _check_universe_cells(carrier + np.count_nonzero(~complete) + 1, n, m, carrier == m**n)
+    _check_universe_cells(carrier + np.count_nonzero(~complete) + 1, n, m, carrier == m**n,
+                          True)
     points, blocks, own = [], [], np.arange(len(space.slots))
     if not bullet:
         points = list(product(range(m), repeat=n))
         blocks = [alg.superposition.reshape(m, m**n)]
         own = np.flatnonzero(~complete)
     points += [tuple(p) for p in space.slots[own].tolist()] + [(BLANK,) * n]
-    values = np.concatenate(blocks + [space.actions[own].T, np.arange(m)[:, None]],
-                            axis=1)
+    # every value is below m
+    values = np.concatenate(blocks + [space.actions[own].T, np.arange(m)[:, None]], axis=1,
+                            dtype=np.min_scalar_type(m - 1), casting="unsafe")
     _cross_witness_check(alg, space)
     return Universe(n, m, points, "extended", values=values)
 
@@ -475,9 +485,13 @@ def _scan(parts, values, alg: AbstractAlgebra, heads: np.ndarray | None = None):
     table = values.astype(dtype) + 1  # -1 wraps to 0
     gates = None
     if not lone:
-        table <<= bits
+        # the group's parts share one value table: one gather of each
+        # value's domain bits sets them all
+        domains = np.zeros(len(parts[0].allowed), dtype)
         for k, part in enumerate(parts):
-            table |= np.left_shift(part.allowed[part.values], k, dtype=dtype)
+            domains |= np.left_shift(part.allowed, k, dtype=dtype)
+        table <<= bits
+        table |= domains[parts[0].values]
         gates = table | ((1 << 8 * table.itemsize) - 1 - low)
     superposition = alg.superposition is not None and universe.all_index is not None
     reps = distinct_columns(table) if superposition else ()

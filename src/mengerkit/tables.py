@@ -196,20 +196,93 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def first_occurrences(rows: np.ndarray):
-    """(first, second) over the classes of equal rows of a 2-D array,
-    numbered by first occurrence: class c's first row is first[c], which
-    ascends, and its second row second[c], or -1 when it has none."""
-    keys = _keys(rows)
-    by_key = keys.argsort(kind="stable")  # equal rows stay in order
-    ranked = keys[by_key]
-    # starts[i]: a run of equal keys starts at i (or, at the end, all end)
-    starts = np.ones(len(keys) + 1, bool)
-    starts[1:-1] = ranked[1:] != ranked[:-1]
+# below this many rows the void-key sort costs less than hashing
+_HASH_FLOOR = 256
+# odd 64-bit constants of the row hash (see _row_hash)
+_MULTIPLY, _FINISH = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9)
+_SHIFT = np.uint64(29)
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """(rows, words) uint64: each row's bytes, zero-padded only where the
+    row's byte width is not a multiple of 8."""
+    count, cols = rows.shape
+    width = cols * rows.itemsize
+    if width % 8 == 0:
+        return np.ascontiguousarray(rows).view(np.uint64).reshape(count, width // 8)
+    padded = np.zeros((count, -(-width // 8) * 8 // rows.itemsize), rows.dtype)
+    padded[:, :cols] = rows
+    return padded.view(np.uint64)
+
+
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """One uint64 per row of words, equal for equal rows: each word is
+    xored into the state, which is multiplied by an odd constant and
+    xor-shifted, then the state is multiplied once more (multiply-shift
+    hashing, Dietzfelbinger et al. 1997), so the high bits depend on
+    every word."""
+    state, shifted = np.zeros(len(words), np.uint64), np.empty(len(words), np.uint64)
+    for column in words.T:
+        np.bitwise_xor(state, column, out=state)
+        np.multiply(state, _MULTIPLY, out=state)
+        np.right_shift(state, _SHIFT, out=shifted)
+        np.bitwise_xor(state, shifted, out=state)
+    return np.multiply(state, _FINISH, out=state)
+
+
+def _runs(by_key: np.ndarray, starts: np.ndarray):
+    """(first, second) of first_occurrences from by_key, the rows in
+    sorted order with each run of equal rows in index order, and starts:
+    starts[i] says a run starts at sorted position i, and starts[-1] is
+    True."""
     heads = starts[:-1].nonzero()[0]
     heads = heads[by_key[heads].argsort()]
     # (heads + 1 wraps only where the run has no second row)
-    return by_key[heads], np.where(starts[heads + 1], -1, by_key[(heads + 1) % len(keys)])
+    return by_key[heads], np.where(starts[heads + 1], -1, by_key[(heads + 1) % len(by_key)])
+
+
+def _first_occurrences_by_sort(rows: np.ndarray):
+    keys = _keys(rows)
+    by_key = keys.argsort(kind="stable")  # equal rows stay in order
+    ranked = keys[by_key]
+    starts = np.ones(len(keys) + 1, bool)
+    starts[1:-1] = ranked[1:] != ranked[:-1]
+    return _runs(by_key, starts)
+
+
+def first_occurrences(rows: np.ndarray):
+    """(first, second) over the classes of equal rows of a 2-D array,
+    numbered by first occurrence: class c's first row is first[c], which
+    ascends, and its second row second[c], or -1 when it has none.
+
+    From _HASH_FLOOR rows on, each row's key is the high bits of its hash
+    (_row_hash of its bytes as uint64 words) above its index in the low
+    (k-1).bit_length() bits, so the k keys are distinct and one integer
+    sort orders them, equal hash bits by index.  Equal rows have equal
+    hash bits.  So if every pair of sorted neighbours with equal hash
+    bits is equal, word by word, each run of equal hash bits is exactly
+    one class of equal rows, its rows in index order, as a stable sort of
+    the rows would give them.  Otherwise two different rows share their
+    hash bits, and the stable sort of the rows' bytes decides, as it does
+    below the floor."""
+    count = len(rows)
+    if count < _HASH_FLOOR:
+        return _first_occurrences_by_sort(rows)
+    words = _words(rows)
+    bits = np.uint64((count - 1).bit_length())
+    keys = _row_hash(words) >> bits << bits | np.arange(count, dtype=np.uint64)
+    keys.sort()  # the keys are distinct, so no stable sort is needed
+    by_key = (keys & ((np.uint64(1) << bits) - np.uint64(1))).astype(np.intp)
+    ranked = words.take(by_key, axis=0)
+    differ = np.zeros(count - 1, bool)  # sorted row i + 1 differs from row i
+    for word in ranked.T:
+        differ |= word[1:] != word[:-1]
+    keys >>= bits
+    if (differ & (keys[1:] == keys[:-1])).any():  # different rows share hash bits
+        return _first_occurrences_by_sort(rows)
+    starts = np.ones(count + 1, bool)
+    starts[1:-1] = differ
+    return _runs(by_key, starts)
 
 
 def row_lookup(rows: np.ndarray):

@@ -221,8 +221,8 @@ def test_verify_bounds_keep_every_verdict_when_pi_has_no_closure(tmp_path, monke
 
 def test_universe_over_the_cell_cap_exits_3(paths, zero_proj, zero_proj_concrete,
                                             monkeypatch, capsys):
-    # n=2, m=2: the substitution tables and the all-tuple index
-    cells = len(build_universe(zero_proj)) * 2 * (2 * 2 + 2 + 1) + 3**2
+    # n=2, m=2: the substitution tables, the value table and the all-tuple index
+    cells = len(build_universe(zero_proj)) * (2 * (2 * 2 + 2 + 1) + 2) + 3**2
     argv = ["represent", "--algebra", paths["conc"], "--chi", paths["chi"],
             "--point-all", "--out", str(paths["dir"] / "rep.json")]
     monkeypatch.setattr(tables, "MAX_TABLE_CELLS", cells - 1)

@@ -1168,16 +1168,80 @@ def test_representability_matches_grouped_states(menger_battery, plain_battery, 
     assert flagged == 2
 
 
-def test_first_occurrences_match_dict():
-    rng = np.random.default_rng(12)
+def repeating_rows(rng, count, cols, dtype):
+    """count rows drawn from about count / 3 distinct ones, so that most
+    classes repeat and some do not."""
+    pool = rng.integers(-2, 3, size=(count // 3 + 1, cols)).astype(dtype)
+    return pool[rng.integers(len(pool), size=count)]
+
+
+def first_occurrence_cases(rng):
+    """Arrays on both sides of the hash floor, 1 to 17 bytes and over 1 KB
+    wide, in four dtypes, and non-contiguous views."""
     cases = [rng.integers(0, 3, size=shape).astype(dtype)
              for shape in ((300, 2), (200, 4), (50, 1), (1, 3), (0, 3))
              for dtype in (bool, np.uint8, np.intp)]
     wide = rng.integers(0, 2, size=(3, 120)).astype(np.uint8)
     cases += [wide.T, wide[:, ::3].T, rng.integers(0, 2, size=(60, 5))[::2, 1:]]
+    for count in (255, 256, 257, 3000):
+        for dtype in (bool, np.uint8, np.int8, np.intp):
+            itemsize = np.dtype(dtype).itemsize
+            cases += [repeating_rows(rng, count, cols, dtype)
+                      for cols in range(1, 17 // itemsize + 1)]
+            cases.append(repeating_rows(rng, count, 1100 // itemsize + 1, dtype))
+    table = repeating_rows(rng, 2 * 700, 9, np.uint8)
+    cases += [table[::2], table[:, ::2], table[1::2, 1:], np.asfortranarray(table),
+              repeating_rows(rng, 40, 600, np.int8).T]
+    assert min(map(len, cases)) < tables._HASH_FLOOR <= max(map(len, cases))
+    return cases
+
+
+def test_first_occurrences_match_dict():
+    for rows in first_occurrence_cases(np.random.default_rng(12)):
+        first, second = first_occurrences(rows)
+        assert (first.tolist(), second.tolist()) == first_occurrences_by_dict(rows)
+
+
+@pytest.mark.parametrize("forced", ["constant", "one bit"])
+def test_colliding_hashes_fall_back_to_the_sort(forced, monkeypatch):
+    # every row gets hash 0, or only its first word's low bit at the top of
+    # the hash: different rows share their hash bits, and the exact
+    # neighbour check sends the call to the sort of the rows' bytes
+    def collide(words):
+        if forced == "constant":
+            return np.zeros(len(words), np.uint64)
+        return (words[:, 0] & np.uint64(1)) << np.uint64(63)
+
+    sorted_calls = []
+    by_sort = tables._first_occurrences_by_sort
+    monkeypatch.setattr(tables, "_row_hash", collide)
+    monkeypatch.setattr(tables, "_first_occurrences_by_sort",
+                        lambda rows: sorted_calls.append(len(rows)) or by_sort(rows))
+    cases = first_occurrence_cases(np.random.default_rng(13))
+    cases.append(np.zeros((300, 5), np.uint8))  # one class: no two neighbours differ
     for rows in cases:
         first, second = first_occurrences(rows)
         assert (first.tolist(), second.tolist()) == first_occurrences_by_dict(rows)
+    hashed = [len(rows) for rows in cases if len(rows) >= tables._HASH_FLOOR]
+    assert max(sorted_calls) >= tables._HASH_FLOOR
+    assert sorted_calls.count(300) < hashed.count(300)  # the one class kept its hash
+
+
+def test_hashed_state_blocks_match_loops(monkeypatch):
+    # plain22 (n=3, m=22, 2326 states): every block after the first holds
+    # thousands of children, over the hash floor, and no two different
+    # children share their hash bits, so no block falls back to the sort
+    alg = abstract_from_concrete(generate_concrete(GeneratorConfig(
+        arity=3, base_size=2, generator_count=1, seed=12, flavor="plain", closure_cap=40)))
+    kernel, by_sort, blocks, sorted_calls = first_occurrences, tables._first_occurrences_by_sort, [], []
+    monkeypatch.setattr(algebra, "first_occurrences",
+                        lambda rows: blocks.append(len(rows)) or kernel(rows))
+    monkeypatch.setattr(tables, "_first_occurrences_by_sort",
+                        lambda rows: sorted_calls.append(len(rows)) or by_sort(rows))
+    space = assert_states_match_loops(alg, caps=False)
+    assert len(space.slots) == 2326
+    assert max(blocks) >= tables._HASH_FLOOR
+    assert all(size < tables._HASH_FLOOR for size in sorted_calls)
 
 
 def test_shared_slots_takes_the_class_that_starts_first():

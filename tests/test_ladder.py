@@ -7,11 +7,15 @@ from pathlib import Path
 LADDER = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
 
 
-def test_first_rung_measures_every_call():
+def load_ladder():
     spec = importlib.util.spec_from_file_location("ladder", LADDER)
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
-    rung = ladder.run_rung(1)
+    return ladder
+
+
+def test_first_rung_measures_every_call():
+    rung = load_ladder().run_rung(1)
     assert (rung["m"], rung["translations"], rung["translation_classes"]) == (45, 2115, 90)
     results = [rung[name]["result"] for name in (
         "is_l_regular(chi)", "is_l_cancellative(gamma)", "verify_conditions(triplet)",
@@ -37,3 +41,11 @@ def test_first_rung_measures_every_call():
     assert relations["result"] == "True" and relations["again_peak_mb"] < 8
     verify = rung["verify --target triplet"]
     assert (verify["exit"], verify["traceback"], verify["stderr"]) == (0, False, "")
+    assert rung["build_universe"]["result"] == "2116"  # the universe's points
+
+
+def test_plain_rung_measures_its_three_calls():
+    rung = load_ladder().run_plain_rung("plain22")
+    assert (rung["m"], rung["reachable_states"]["result"]) == (22, "2326")
+    assert [rung[name]["result"] for name in (
+        "check_representability", "verify_conditions(triplet)")] == ["None", "True"]

@@ -93,8 +93,9 @@ def test_universe_refuses_over_the_cell_cap_before_it_builds(
 
     for conc in (zero_proj_concrete, zero_proj_plain_concrete):
         universe = build_universe(abstract_from_concrete(conc))
-        # n=2, m=2: the substitution tables, and the all-tuple index if any
-        cells = len(universe) * 2 * (2 * 2 + 2 + 1) + 3**2 * universe.has_all_tuples
+        # n=2, m=2: the substitution tables, the value table, and the
+        # all-tuple index if any
+        cells = len(universe) * (2 * (2 * 2 + 2 + 1) + 2) + 3**2 * universe.has_all_tuples
         with monkeypatch.context() as patch:
             patch.setattr(tables, "MAX_TABLE_CELLS", cells - 1)
             patch.setattr(represent, "_cross_witness_check", built)
