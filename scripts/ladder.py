@@ -16,7 +16,8 @@ parts of the pairs sum with the bytes of their words, and for
 ``sum_over_pairs(alg, chi, gamma)`` with ``representation_relations`` of
 it (whose result is whether they equal chi, gamma and pi) and
 ``verify_homomorphism`` of that sum, then ``represent._build_universe``
-(the universe built afresh, word states already kept): the wall time of
+(the universe built afresh, word states already kept) and ``roundtrip``
+of all seven targets with the rung's concrete origin: the wall time of
 the first call
 (which builds the algebra's derived tables; ``reachable_states`` keeps
 nothing, so each of its calls is a first one) and of a second one, the
@@ -28,6 +29,11 @@ call compared, as the (phase, count) of each equation-cap check it
 made: one per law phase, one per group of parts of the homomorphism
 check.  A call that raises CapacityError or MemoryError records the
 error (and the count reached) as its result, and the rung goes on.
+The algebra keeps its verdicts on given relations, their closures and
+its round-trips under keys that hold a ``BinRelation``, so a later call
+would only look them up: before each of the three calls the ladder drops
+those entries, of the algebra and of its plain reduct, and keeps the
+algebra-wide tables (word states, translations, universe, generators).
 
 Two more rungs are the arity-3 plain algebras of perfbench's ``queries``
 workload, ``GeneratorConfig(arity=3, base_size=2, generator_count=1,
@@ -112,15 +118,28 @@ def counting_equations(call, equations: list):
     return run
 
 
-def measured(call, order: int) -> dict:
+def forget_relations(alg):
+    """Drop the entries that alg and its plain reduct keep under a key
+    holding a BinRelation; the algebra-wide tables stay."""
+    from mengerkit import BinRelation
+
+    for owner in filter(None, (alg, alg._derived.get("reduct"))):
+        for key in [key for key in owner._derived if isinstance(key, tuple)
+                    and any(isinstance(part, BinRelation) for part in key)]:
+            del owner._derived[key]
+
+
+def measured(call, order: int, alg) -> dict:
     """The result, the first and the second call's time, a third call's
     tracemalloc peak and the equations the first call compared, or the
     CapacityError or MemoryError of the first call; with the call's place
-    in the rung's order."""
+    in the rung's order.  Each call starts from alg's algebra-wide tables
+    alone (forget_relations)."""
     from mengerkit import CapacityError
 
     equations = []
     place = {"order": order}
+    forget_relations(alg)
     try:
         result, first = timed(counting_equations(call, equations))
     except CapacityError as exc:
@@ -128,7 +147,9 @@ def measured(call, order: int) -> dict:
                         "equations": equations}
     except MemoryError as exc:
         return place | {"result": f"MemoryError: {exc}", "equations": equations}
+    forget_relations(alg)
     _, again = timed(call)
+    forget_relations(alg)
     return place | {"result": repr(result), "first_s": round(first, 5),
                     "again_s": round(again, 5), "again_peak_mb": round(traced_peak(call), 3),
                     "equations": equations}
@@ -168,10 +189,11 @@ def run_rung(seed: int) -> dict:
     from mengerkit import (GeneratorConfig, Target, abstract_from_concrete,
                            check_menger_identities, domain_relations, generate_concrete,
                            is_l_cancellative, is_l_regular, reachable_states,
-                           representation_relations, sum_over_pairs, verify_conditions,
-                           verify_homomorphism)
+                           representation_relations, roundtrip, sum_over_pairs,
+                           verify_conditions, verify_homomorphism)
     from mengerkit import algebra, represent
     from mengerkit.algebra import right_translations, translation_classes
+    from mengerkit.theorems import TARGET_KINDS
 
     start = time.perf_counter()
     conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1,
@@ -191,7 +213,7 @@ def run_rung(seed: int) -> dict:
             sum_over_pairs(alg, chi, gamma)) == (chi, gamma, pi),
     }
     for order, (name, call) in enumerate(calls.items()):
-        rung[name] = measured(call, order)
+        rung[name] = measured(call, order, alg)
     # trees older than superposition generators record none
     if hasattr(algebra, "superposition_generators"):
         generators = algebra.superposition_generators(alg)
@@ -203,9 +225,12 @@ def run_rung(seed: int) -> dict:
         {"parts": len(parts)} | ({"word_bytes": word_dtype(parts).itemsize} if word_dtype else {})
         for parts, _ in represent._groups(pairs_sum.parts)]
     rung["verify_homomorphism(pairs sum)"] = measured(
-        lambda: verify_homomorphism(pairs_sum, alg), len(calls))
+        lambda: verify_homomorphism(pairs_sum, alg), len(calls), alg)
     rung["build_universe"] = measured(lambda: len(represent._build_universe(alg)),
-                                      len(calls) + 1)
+                                      len(calls) + 1, alg)
+    rung["roundtrip(seven targets)"] = measured(lambda: all(
+        roundtrip(alg, Target(kind, chi=chi, gamma=gamma, pi=pi), concrete=conc).ok
+        for kind in TARGET_KINDS), len(calls) + 2, alg)
     rung["translations"] = int(right_translations(alg)[0].shape[1])
     rung["translation_classes"] = len(translation_classes(alg)[0])
     return rung
@@ -232,7 +257,7 @@ def run_plain_rung(name: str) -> dict:
             alg, Target("triplet", chi=chi, gamma=gamma, pi=pi)).ok,
     }
     for order, (call_name, call) in enumerate(calls.items()):
-        rung[call_name] = measured(call, order)
+        rung[call_name] = measured(call, order, alg)
     return rung
 
 

@@ -70,7 +70,11 @@ class AbstractAlgebra:
     superposition generators and the law verdicts decided at them,
     universe, oracle family) is computed once through :meth:`derived` and
     kept for the algebra's lifetime, so it is observable as if computed
-    eagerly.
+    eagerly.  So is each decision about given relations, keyed by them:
+    the predicates' verdicts under (law, r), the closures under (kind,
+    pi), and the round-trip stages under ("roundtrip", anchor, gamma) and
+    ("faithful", concrete, anchor) (see theorems.roundtrip).  A compute
+    that raises keeps nothing.
     """
 
     def __init__(self, arity, size, mann, superposition=None, zero=None,
@@ -148,17 +152,23 @@ class AbstractAlgebra:
 
 def right_translations(alg: AbstractAlgebra):
     """(table, args), kept with the algebra.  ``table`` is the read-only
-    (m, n*m + m**n) table of every right translation of x: column block i
-    holds x *i z for z = 0..m-1, then on menger flavor one column x[zs]
-    per argument tuple zs, lexicographic; row k of ``args`` is the k-th zs
-    (None on plain flavor)."""
+    (m, n*m + m**n) table of every right translation of x, in the smallest
+    unsigned dtype that holds m - 1: column block i holds x *i z for z =
+    0..m-1, then on menger flavor one column x[zs] per argument tuple zs,
+    lexicographic; row k of ``args`` is the k-th zs (None on plain
+    flavor).  The blocks are written into the table in place."""
     def compute():
         n, m = alg.arity, alg.size
-        table, args = alg.mann.transpose(1, 0, 2).reshape(m, n * m), None
-        if alg.flavor == "menger":
-            table = np.concatenate([table, alg.superposition.reshape(m, m**n)], axis=1)
+        menger = alg.flavor == "menger"
+        table = np.empty((m, n * m + (m**n if menger else 0)), np.min_scalar_type(m - 1))
+        for slot in range(n):
+            table[:, slot * m : (slot + 1) * m] = alg.mann[slot]
+        args = None
+        if menger:
+            table[:, n * m :] = alg.superposition.reshape(m, m**n)
             args = _read_only(np.indices((m,) * n).reshape(n, -1).T)
-        return _read_only(table), args
+        table.flags.writeable = False
+        return table, args
 
     return alg.derived("translations", compute)
 
@@ -174,8 +184,8 @@ def translation_classes(alg: AbstractAlgebra):
     m=108)."""
     def compute():
         table, _ = right_translations(alg)
-        reps = distinct_columns(table.astype(np.min_scalar_type(alg.size - 1)))
-        classes = _read_only(table.take(reps, axis=1))  # C order, for row gathers
+        reps = distinct_columns(table)
+        classes = _read_only(table.take(reps, axis=1))  # intp, C order, for row gathers
         return reps, classes, classes + alg.size * np.arange(len(reps))
 
     return alg.derived("translation classes", compute)

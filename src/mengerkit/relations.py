@@ -46,8 +46,14 @@ def _translated_violation(r: BinRelation, alg: AbstractAlgebra, related: bool,
     held entries and their comparison, one bool per (y, class) each; the
     landing index is kept with the class table.  Classes are numbered by
     first occurrence, so the first failing class of a pair starts at the
-    pair's first failing column."""
+    pair's first failing column.  The verdict is kept with the algebra
+    under (law, r)."""
     _check_sized(r, alg)
+    return alg.derived((law, r), lambda: _translation_scan(r, alg, related, law, details))
+
+
+def _translation_scan(r: BinRelation, alg: AbstractAlgebra, related: bool,
+                      law: str, details: tuple[str, str]) -> Violation | None:
     R = r.matrix
     reps, classes, landing = translation_classes(alg)
     m, count = classes.shape
@@ -74,8 +80,13 @@ def _translated_violation(r: BinRelation, alg: AbstractAlgebra, related: bool,
 
 def is_zero_quasi_equivalence(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
     """Symmetric, and reflexive away from the zero: fully reflexive when
-    the zero occurs as a first coordinate (or when there is no zero)."""
+    the zero occurs as a first coordinate (or when there is no zero).
+    The verdict is kept with the algebra."""
     _check_sized(r, alg)
+    return alg.derived(("zero quasi-equivalence", r), lambda: _zero_quasi_scan(r, alg))
+
+
+def _zero_quasi_scan(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
     R = r.matrix
     if not r.is_symmetric():
         return Violation("symmetry", _first(R & ~R.T), "pair present, flip missing")
@@ -105,8 +116,13 @@ def is_l_cancellative(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
 
 def is_v_negative(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
     """Every word result must sit below each of the word's slot occupants;
-    menger flavor also places superposition results below each argument."""
+    menger flavor also places superposition results below each argument.
+    The verdict is kept with the algebra."""
     _check_sized(r, alg)
+    return alg.derived(("v-negative", r), lambda: _v_negative_scan(r, alg))
+
+
+def _v_negative_scan(r: BinRelation, alg: AbstractAlgebra) -> Violation | None:
     if _least_v_negative(alg).issubset(r):
         return None
     # the first witness, in the order the clauses are stated
@@ -198,16 +214,25 @@ def build_closure(alg: AbstractAlgebra, kind: str,
     pi kinds) or nothing, as the transitive closure of the one-step chain.
 
     Non-bullet kinds require menger flavor; bullet kinds act on the plain
-    reduct.  The pi kinds require pi to be an l-regular equivalence.
+    reduct.  The pi kinds require pi to be an l-regular equivalence.  The
+    closure is kept with the algebra under (kind, pi), pi None for the
+    other kinds.
     """
     if kind not in CLOSURE_KINDS:
         raise InputError(f"unknown closure kind {kind!r}")
     if not kind.endswith("bullet") and alg.flavor != "menger":
         raise InputError(f"closure kind {kind!r} requires menger flavor")
-    if kind in ("chi_pi", "chi_pi_bullet"):
-        if pi is None:
-            raise InputError(f"closure kind {kind!r} requires pi")
+    if kind not in ("chi_pi", "chi_pi_bullet"):
+        pi = None
+    elif pi is None:
+        raise InputError(f"closure kind {kind!r} requires pi")
+    else:
         _check_sized(pi, alg)
+    return alg.derived((kind, pi), lambda: _closure(alg, kind, pi))
+
+
+def _closure(alg: AbstractAlgebra, kind: str, pi: BinRelation | None) -> BinRelation:
+    if pi is not None:
         if not pi.is_equivalence():
             raise InputError("pi must be an equivalence")
         check_alg = alg.plain_reduct() if kind.endswith("bullet") else alg

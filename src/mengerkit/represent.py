@@ -67,12 +67,13 @@ def _check_universe_cells(count: int, n: int, size: int, all_tuples: bool,
                           value_table: bool):
     """Raise CapacityError when a universe of ``count`` points, holding
     every carrier tuple or not and a value table or not, needs more than
-    MAX_TABLE_CELLS cells: points * n * (n*m + m + 1) for the moved points
-    and subst, points * m for the value table, plus (m + 1)**n for
-    all_index when every carrier tuple is a point (9.0 M for the 11
-    881-point universe at m=108, n=2; a one-point universe at n=32 and m=1
-    is refused for its 2**32 index cells)."""
-    cells = (count * (n * (n * size + size + 1) + (size if value_table else 0))
+    MAX_TABLE_CELLS cells it keeps: points * n * (m + 1) for subst, points
+    * m for the value table, plus (m + 1)**n for all_index when every
+    carrier tuple is a point (3.9 M for the 11 881-point universe at
+    m=108, n=2; a one-point universe at n=32 and m=1 is refused for its
+    2**32 index cells).  The moved points are looked up in blocks under
+    BLOCK_BYTES and never held whole, so they are not counted."""
+    cells = (count * (n * (size + 1) + (size if value_table else 0))
              + ((size + 1) ** n if all_tuples else 0))
     _check_table_cells(f"universe of {count} points", cells)
 
@@ -180,33 +181,39 @@ def _cross_witness_check(alg: AbstractAlgebra, space: StateSpace):
     tree rooted at the empty word, each from an earlier state; by
     induction over it, if every first edge holds, every word replays to
     its own state, and then an alt word, a word plus one step, replays to
-    its state exactly when its edge holds.  First edges are checked first.
+    its state exactly when its edge holds.  First edges are checked first,
+    in blocks of events under BLOCK_BYTES: per event its parent's and its
+    child's action and the parent's stepped through the tables, each m
+    intp, their comparison, and a few n-wide intp rows.
     """
     n, m, count = alg.arity, alg.size, len(space.slots)
     tree = space.events[:, 0] // (n * m)  # each state's first parent
     if ((tree < 0) | (tree > np.arange(count))).any():
         raise InputError("the first expansion events do not form a tree")
     events = space.events.T.ravel()  # all first events, then the second ones
-    edge = np.flatnonzero(events >= 0)
-    child = edge % count
-    parent, step = np.divmod(events[edge], n * m)
-    slot, y = (v[:, None] for v in np.divmod(step, m))
-    # row 0 is the empty word, row p > 0 state p - 1, as in the events
-    occupants = np.concatenate([np.full((1, n), EMPTY), space.slots])[parent]
-    actions = np.concatenate([np.arange(m)[None], space.actions])[parent]
-    # an empty slot stays empty, except the step's own, which takes y
-    reached = np.where(occupants == EMPTY, np.where(np.arange(n) == slot, y, EMPTY),
-                       alg.mann[slot, occupants, y])
-    wrong_slots = (reached != space.slots[child]).any(axis=1)
-    wrong = wrong_slots | (alg.mann[slot, actions, y] != space.actions[child]).any(axis=1)
-    if wrong.any():
-        k = wrong.argmax()
-        s = int(child[k])
-        word = space.word(s) if edge[k] < count else space.alt_word(s)
-        if wrong_slots[k]:
-            raise InputError(f"witness word {word} does not reach "
-                             f"{tuple(space.slots[s].tolist())}")
-        raise InputError(f"witness word {word} disagrees with the recorded action")
+    per_block = block_rows(8 * (3 * m + 4 * n) + m)
+    for start in range(0, len(events), per_block):
+        block = events[start : start + per_block]
+        edge = start + np.flatnonzero(block >= 0)
+        child = edge % count
+        parent, step = np.divmod(events[edge], n * m)
+        slot, y = (v[:, None] for v in np.divmod(step, m))
+        # parent 0 is the empty word, parent p > 0 state p - 1
+        occupants, actions = space.slots[parent - 1], space.actions[parent - 1]
+        occupants[parent == 0], actions[parent == 0] = EMPTY, np.arange(m)
+        # an empty slot stays empty, except the step's own, which takes y
+        reached = np.where(occupants == EMPTY, np.where(np.arange(n) == slot, y, EMPTY),
+                           alg.mann[slot, occupants, y])
+        wrong_slots = (reached != space.slots[child]).any(axis=1)
+        wrong = wrong_slots | (alg.mann[slot, actions, y] != space.actions[child]).any(axis=1)
+        if wrong.any():
+            k = wrong.argmax()
+            s = int(child[k])
+            word = space.word(s) if edge[k] < count else space.alt_word(s)
+            if wrong_slots[k]:
+                raise InputError(f"witness word {word} does not reach "
+                                 f"{tuple(space.slots[s].tolist())}")
+            raise InputError(f"witness word {word} disagrees with the recorded action")
 
 
 class ReprPart:

@@ -227,6 +227,11 @@ def roundtrip(alg: AbstractAlgebra, target: Target,
     ``concrete`` supplies the faithful summand: the identity
     representation of the concrete origin is added and the sum must stay
     faithful with intersected relations.
+
+    The representation, its relations and its homomorphism verdict are
+    kept with the algebra under ("roundtrip", anchor, gamma or None), and
+    the faithful check under ("faithful", concrete, anchor): verdicts with
+    one key share one Representation, which nothing writes to.
     """
     conditions = verify_conditions(alg, target)
     verdict = TheoremVerdict(conditions.theorem_id, target.kind, alg.flavor,
@@ -236,19 +241,22 @@ def roundtrip(alg: AbstractAlgebra, target: Target,
     verdict.roundtrip_attempted = True
     chi, gamma, pi = _prescribed(target)
     anchor = conditions.derived["closure"] if chi is None else chi
-    rep = (sum_over_points(alg, anchor) if gamma is None
-           else sum_over_pairs(alg, anchor, gamma))
-    realized = representation_relations(rep)
+
+    def stage():
+        rep = (sum_over_points(alg, anchor) if gamma is None
+               else sum_over_pairs(alg, anchor, gamma))
+        return rep, representation_relations(rep), verify_homomorphism(rep, alg)
+
+    rep, realized, verdict.hom_violation = alg.derived(("roundtrip", anchor, gamma), stage)
     for name, rel, rel_p in zip(("chi", "gamma", "pi"), (chi, gamma, pi), realized):
         if rel is not None:
             verdict.equalities.append((f"{name} == {name}_P", rel == rel_p))
     if gamma is not None and chi is None:
         verdict.equalities.append(("closure == chi_P", anchor == realized[0]))
     if chi is not None and gamma is None and concrete is not None:
-        verdict.faithful = _faithful_augmentation(alg, concrete, rep, realized)
-
+        verdict.faithful = alg.derived(("faithful", concrete, anchor), lambda: (
+            _faithful_augmentation(alg, concrete, rep, realized)))
     verdict.representation = rep
-    verdict.hom_violation = verify_homomorphism(rep, alg)
     return verdict
 
 

@@ -221,8 +221,8 @@ def test_verify_bounds_keep_every_verdict_when_pi_has_no_closure(tmp_path, monke
 
 def test_universe_over_the_cell_cap_exits_3(paths, zero_proj, zero_proj_concrete,
                                             monkeypatch, capsys):
-    # n=2, m=2: the substitution tables, the value table and the all-tuple index
-    cells = len(build_universe(zero_proj)) * (2 * (2 * 2 + 2 + 1) + 2) + 3**2
+    # n=2, m=2: the substitution table, the value table and the all-tuple index
+    cells = len(build_universe(zero_proj)) * (2 * (2 + 1) + 2) + 3**2
     argv = ["represent", "--algebra", paths["conc"], "--chi", paths["chi"],
             "--point-all", "--out", str(paths["dir"] / "rep.json")]
     monkeypatch.setattr(tables, "MAX_TABLE_CELLS", cells - 1)
@@ -247,7 +247,7 @@ def test_representation_file_over_the_cell_cap_exits_3(tmp_path, zero_proj, zero
                                              seed=56, closure_cap=26))
     points = len(build_universe(abstract_from_concrete(conc)))
     cli_count = 23 * points * 11
-    assert points * 2 * (2 * 23 + 23 + 1) + 24**2 < cli_count
+    assert points * (2 * (23 + 1) + 23) + 24**2 < cli_count
     monkeypatch.chdir(tmp_path)
     save_algebra(conc, "alg.json")
     for name, rel in zip(("chi", "gamma"), domain_relations(conc)):

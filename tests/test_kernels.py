@@ -1278,6 +1278,35 @@ def test_cross_witness_check_rejects_corrupted_events(m18):
         build_universe(with_events(alg, corrupt))
 
 
+def cross_witness_error(alg, events):
+    """The message build_universe raises on alg with the given events."""
+    with pytest.raises(InputError, match="witness word") as err:
+        represent._build_universe(with_events(alg, events))
+    return str(err.value)
+
+
+def test_blocked_cross_witness_check_names_the_same_event(m18, monkeypatch):
+    # one event per block, a few hundred, or every event in one block: the
+    # same first wrong event, first edges before second ones
+    alg, _ = m18
+    events = alg.states().events
+    twice = np.flatnonzero(events[:, 1] >= 0)
+    cases = []
+    for s, column in ((int(twice[-1]), 0), (int(twice[-1]), 1), (int(twice[3]), 1)):
+        corrupt = np.array(events)
+        corrupt[s, column] += 1 if corrupt[s, column] % alg.size == 0 else -1
+        cases.append(corrupt)
+    both = np.array(cases[2])  # a second edge early, a first edge late
+    both[twice[-1], 0] = cases[0][twice[-1], 0]
+    cases.append(both)
+    messages = []
+    for block in (1 << 40, 1, 64 * 1024):
+        monkeypatch.setattr(tables, "BLOCK_BYTES", block)
+        messages.append([cross_witness_error(alg, corrupt) for corrupt in cases])
+    assert messages[0] == messages[1] == messages[2]
+    assert messages[0][3] == messages[0][0] != messages[0][2]
+
+
 def assert_universe_tables_match_dict(universe):
     subst, all_index = universe_tables_by_dict(universe)
     assert universe.subst.dtype == subst.dtype and np.array_equal(universe.subst, subst)

@@ -42,6 +42,8 @@ def test_first_rung_measures_every_call():
     verify = rung["verify --target triplet"]
     assert (verify["exit"], verify["traceback"], verify["stderr"]) == (0, False, "")
     assert rung["build_universe"]["result"] == "2116"  # the universe's points
+    roundtrips = rung["roundtrip(seven targets)"]
+    assert (roundtrips["result"], roundtrips["order"]) == ("True", 8)
 
 
 def test_plain_rung_measures_its_three_calls():

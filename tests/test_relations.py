@@ -8,13 +8,17 @@ import pytest
 from mengerkit import (
     AbstractAlgebra,
     BinRelation,
+    GeneratorConfig,
     InputError,
+    PartialFunction,
     abstract_from_concrete,
     build_closure,
     check_compatibility,
     check_word_system,
+    close_under_operations,
     domain_relations,
     enumerate_relations,
+    generate_concrete,
     is_l_cancellative,
     is_l_regular,
     is_v_negative,
@@ -509,3 +513,61 @@ def test_word_system_violation_chain_is_genuine():
         assert r.contains(a, b)
     for a, b in zip(chain2, chain2[1:]):
         assert r.contains(a, b)
+
+
+# -- verdicts and closures kept with the algebra -------------------------------
+
+
+PREDICATES = (is_l_regular, is_l_cancellative, is_v_negative, is_zero_quasi_equivalence)
+
+
+def test_kept_predicate_verdicts_equal_fresh_ones(small_battery):
+    rng = np.random.default_rng(25)
+    for conc in small_battery[::3]:
+        alg = abstract_from_concrete(conc)
+        for r in list(domain_relations(conc)) + [
+                BinRelation.from_array(rng.random((len(conc),) * 2) < 0.5) for _ in range(4)]:
+            for predicate in PREDICATES:
+                first = predicate(r, alg)
+                # an equal relation hits the kept verdict
+                assert predicate(BinRelation.from_array(r.matrix), alg) is first
+                assert first == predicate(r, abstract_from_concrete(conc))
+
+
+def test_size_is_checked_before_the_lookup(zero_proj):
+    for predicate in PREDICATES:
+        for _ in range(2):
+            with pytest.raises(InputError, match="does not match carrier"):
+                predicate(BinRelation.diagonal(3), zero_proj)
+
+
+def test_l_regular_verdicts_of_the_reduct_stay_apart():
+    # {(1, 1)}: every slot translation keeps it, the superposition 1[0, 0]
+    # = 0 does not, so the reduct and the algebra disagree, in either order
+    conc = close_under_operations([PartialFunction(2, 2, (0, -1, -1, 0)),
+                                   PartialFunction(2, 2, (0, -1, -1, -1))], "menger")
+    r = rel(2, [(1, 1)])
+    for reduct_first in (True, False):
+        alg = abstract_from_concrete(conc)
+        calls = [lambda: is_l_regular(r, alg.plain_reduct()), lambda: is_l_regular(r, alg)]
+        for _ in range(2):
+            verdicts = [call() for call in (calls if reduct_first else calls[::-1])]
+            on_reduct, on_alg = verdicts if reduct_first else verdicts[::-1]
+            assert on_reduct is None
+            assert on_alg.law == "l-regular-superposition"
+
+
+def test_refused_closure_is_refused_again():
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1, seed=8))
+    alg = abstract_from_concrete(conc)
+    m = alg.size
+    merges = (rel(m, [(x, x) for x in range(m)] + [(a, b), (b, a)])
+              for a in range(m) for b in range(a + 1, m))
+    pi = next(p for p in merges if is_l_regular(p, alg) is not None)
+    for _ in range(2):
+        with pytest.raises(InputError, match="pi must be l-regular"):
+            build_closure(alg, "chi_pi", pi)
+    least = build_closure(alg, "chi0")
+    assert build_closure(alg, "chi0", pi) is least  # pi has no part in chi0
+    diag = BinRelation.diagonal(m)
+    assert build_closure(alg, "chi_pi", diag) is build_closure(alg, "chi_pi", diag)

@@ -93,9 +93,9 @@ def test_universe_refuses_over_the_cell_cap_before_it_builds(
 
     for conc in (zero_proj_concrete, zero_proj_plain_concrete):
         universe = build_universe(abstract_from_concrete(conc))
-        # n=2, m=2: the substitution tables, the value table, and the
+        # n=2, m=2: the substitution table, the value table, and the
         # all-tuple index if any
-        cells = len(universe) * (2 * (2 * 2 + 2 + 1) + 2) + 3**2 * universe.has_all_tuples
+        cells = len(universe) * (2 * (2 + 1) + 2) + 3**2 * universe.has_all_tuples
         with monkeypatch.context() as patch:
             patch.setattr(tables, "MAX_TABLE_CELLS", cells - 1)
             patch.setattr(represent, "_cross_witness_check", built)
@@ -105,14 +105,14 @@ def test_universe_refuses_over_the_cell_cap_before_it_builds(
 
 
 def test_all_tuple_index_counts_in_the_cell_cap(monkeypatch):
-    # one member at n=6 on a one-element base: one point, 1 * 6 * (6 + 1 + 1)
+    # one member at n=6 on a one-element base: one point, 1 * 6 * (1 + 1)
     # substitution cells and a (1 + 1)**6 all-tuple index
     conc = close_under_operations([PartialFunction.constant(6, 1, 0)])
-    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", 48 + 64 - 1)
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", 12 + 64 - 1)
     with pytest.raises(CapacityError) as err:
         identity_representation(conc)
-    assert err.value.count == 48 + 64
-    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", 48 + 64)
+    assert err.value.count == 12 + 64
+    monkeypatch.setattr(tables, "MAX_TABLE_CELLS", 12 + 64)
     universe = identity_representation(conc).parts[0].universe
     assert universe.has_all_tuples and universe.all_index.shape == (2,) * 6
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mengerkit import (
@@ -18,7 +20,8 @@ from mengerkit import (
     verify_conditions,
     word_system_crosscheck,
 )
-from mengerkit import theorems
+from mengerkit import fileio, tables, theorems
+from mengerkit.theorems import TARGET_KINDS
 
 
 def rel(size, pairs):
@@ -240,3 +243,112 @@ def test_point_sum_reproduces_every_valid_order(small_battery):
             chi_p, _, pi_p = representation_relations(rep)
             assert chi_p == chi
             assert pi_p == chi & chi.transpose()
+
+
+# -- round-trips kept with the algebra ------------------------------------
+
+
+def verdict_view(verdict):
+    """Everything a verdict reports, the representation's parts included,
+    as plain values."""
+    rep = verdict.representation
+    parts = None if rep is None else [
+        (part.labels, part.universe.points, part.assign.tolist()) for part in rep.parts]
+    conditions = verdict.conditions
+    return (verdict.theorem_id, verdict.target_kind, verdict.flavor,
+            conditions.results, conditions.derived, verdict.roundtrip_attempted,
+            verdict.equalities, verdict.hom_violation, verdict.faithful, parts)
+
+
+def loaded(conc, rels):
+    """A freshly loaded copy of conc, its abstraction and copies of rels."""
+    conc = fileio.algebra_from_doc(fileio.algebra_to_doc(conc))
+    return conc, abstract_from_concrete(conc), {
+        name: fileio.relation_from_doc(fileio.relation_to_doc(r)) for name, r in rels.items()}
+
+
+def kept_roundtrips_match_fresh(conc, rels):
+    """Every target's round-trip on one algebra, forward, backward and each
+    one twice, against each target alone on a freshly loaded copy."""
+    alg = abstract_from_concrete(conc)
+
+    def target(kind, rels):
+        names = theorems._TARGETS[kind][0]
+        return Target(kind, **{name: rels[name] for name in names})
+
+    fresh = {}
+    for kind in TARGET_KINDS:
+        copy_conc, copy_alg, copy_rels = loaded(conc, rels)
+        fresh[kind] = verdict_view(roundtrip(copy_alg, target(kind, copy_rels),
+                                             concrete=copy_conc))
+    # the backward runs take an equal copy of the concrete origin
+    other, _, _ = loaded(conc, rels)
+    for kinds, origin in ((TARGET_KINDS, conc), (TARGET_KINDS[::-1], other)):
+        for kind in kinds:
+            for _ in range(2):
+                verdict = roundtrip(alg, target(kind, rels), concrete=origin)
+                assert verdict_view(verdict) == fresh[kind], kind
+    return alg
+
+
+def roundtrip_instances(menger_battery, plain_battery):
+    """20 battery-sized algebras, both flavors, and the m=18 and m=23 ones."""
+    return menger_battery[:12] + plain_battery[:8] + [
+        generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1, seed=8)),
+        generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1, seed=56,
+                                          closure_cap=26))]
+
+
+def test_kept_roundtrips_equal_fresh_ones(menger_battery, plain_battery):
+    instances = roundtrip_instances(menger_battery, plain_battery)
+    assert [len(conc) for conc in instances[-2:]] == [18, 23]
+    for conc in instances:
+        rels = dict(zip(("chi", "gamma", "pi"), domain_relations(conc)))
+        alg = kept_roundtrips_match_fresh(conc, rels)
+        # targets with one anchor and gamma share one representation
+        chi, gamma, pi = rels["chi"], rels["gamma"], rels["pi"]
+        one = roundtrip(alg, Target("triplet", chi=chi, gamma=gamma, pi=pi))
+        two = roundtrip(alg, Target("pair_gamma_pi", gamma=gamma, pi=pi))
+        assert one.ok and one.representation is two.representation
+
+
+def perturbed(rels, rng):
+    """rels with one pair of each relation flipped, at random."""
+    out = {}
+    for name, r in rels.items():
+        matrix = r.matrix.copy()
+        a, b = rng.randrange(r.size), rng.randrange(r.size)
+        matrix[a, b] = not matrix[a, b]
+        out[name] = BinRelation.from_array(matrix)
+    return out
+
+
+def test_kept_roundtrips_equal_fresh_ones_on_perturbed_relations(menger_battery,
+                                                                 plain_battery):
+    rng = random.Random(25)
+    failing = attempted = 0
+    for conc in roundtrip_instances(menger_battery, plain_battery):
+        rels = perturbed(dict(zip(("chi", "gamma", "pi"), domain_relations(conc))), rng)
+        alg = kept_roundtrips_match_fresh(conc, rels)
+        for kind in TARGET_KINDS:
+            names = theorems._TARGETS[kind][0]
+            verdict = roundtrip(alg, Target(kind, **{name: rels[name] for name in names}))
+            failing += any(r.witness is not None for r in verdict.conditions.failing())
+            attempted += verdict.roundtrip_attempted
+    # failing conditions with witnesses, and round-trips, come from the memo
+    assert failing and attempted
+
+
+def test_capacity_error_is_raised_on_every_call(monkeypatch):
+    conc = generate_concrete(GeneratorConfig(arity=2, base_size=3, generator_count=1, seed=8))
+    alg = abstract_from_concrete(conc)
+    chi, gamma, pi = domain_relations(conc)
+    target = Target("triplet", chi=chi, gamma=gamma, pi=pi)
+    monkeypatch.setattr(tables, "MAX_EQUATIONS", 1)
+    for _ in range(2):
+        with pytest.raises(CapacityError, match="homomorphism check"):
+            roundtrip(alg, target)
+    monkeypatch.undo()
+    verdict = roundtrip(alg, target)
+    fresh = abstract_from_concrete(conc)
+    assert verdict.ok and verdict_view(verdict) == verdict_view(roundtrip(fresh, target))
